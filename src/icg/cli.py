@@ -4,7 +4,8 @@ Exit codes: 0 success / all matches, 1 verification mismatch,
 2 usage or validation error.  Divisor lists are comma-separated without
 spaces; ranges use lo..hi inclusive.  Flags can be defaulted through
 environment variables with the ICG_ prefix (ICG_FORMAT, ICG_JOBS,
-ICG_MAX_SUBSETS, ICG_ORACLE_BOUND).
+ICG_MAX_SUBSETS); an environment default is parsed and checked like the
+flag itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from .canonical import enumerate_connected, enumerate_separated, make_separated
-from .core import make_divisor_set, make_instance
+from .core import degree, make_divisor_set, make_instance
 from .distance import BFS_WORK_WARN, diameter
 from .errors import IcgError
 from .extremal import (
@@ -29,11 +30,20 @@ from .pst import pst_admissible
 from .verify import verify_range
 
 
-def _env(name: str, fallback):
-    raw = os.environ.get(f"ICG_{name}")
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+def _env(name: str, fallback: str) -> str:
+    # argparse runs a string default through the flag's type, so a bad
+    # environment value is reported like a bad flag.
+    return os.environ.get(f"ICG_{name}", fallback)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _divisor_list(text: str) -> list[int]:
@@ -61,8 +71,9 @@ def _emit(obj: dict, text: str, fmt: str) -> None:
 
 def cmd_diameter(args) -> int:
     g = make_instance(args.n, args.divisors)
-    if args.n * len(g.symbol_set) > BFS_WORK_WARN:
-        print(f"warning: BFS work n*|S| = {args.n * len(g.symbol_set)} is large", file=sys.stderr)
+    work = args.n * degree(g)
+    if work > BFS_WORK_WARN:
+        print(f"warning: BFS work n*|S| = {work} is large", file=sys.stderr)
     result = diameter(g)
     obj = {"instance": g.to_json_obj(), **result.to_json_obj()}
     if result.value is None:
@@ -170,15 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("FORMAT", "text"),
         help="output format",
     )
-    parser.add_argument("--jobs", type=int, default=_env("JOBS", 1), help="worker processes for verify")
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=_env("JOBS", "1"), help="worker processes for verify"
+    )
     parser.add_argument(
         "--max-subsets",
         type=int,
-        default=_env("MAX_SUBSETS", 1 << 20),
+        default=_env("MAX_SUBSETS", str(1 << 20)),
         help="cap on the power set enumerated per order",
-    )
-    parser.add_argument(
-        "--oracle-bound", type=int, default=_env("ORACLE_BOUND", 5000), help="cap on oracle order"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,8 +2,9 @@
 degree and connectivity.
 
 Vertices are the residues 0..n-1; two vertices a, b are adjacent exactly
-when gcd((a - b) mod n, n) lies in the divisor set D.  The symbol set
-(all connection offsets) is materialized eagerly at construction.
+when gcd((a - b) mod n, n) lies in the divisor set D.  An instance stores
+only n's factorization and D; the symbol set (all connection offsets) has
+n - 1 candidates and is built only when asked for.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .numtheory import Factorization, factorize
+from .numtheory import Factorization, euler_phi, factorize
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,17 @@ class IcgInstance:
 
     factorization: Factorization
     divisor_set: DivisorSet
-    symbol_set: tuple[int, ...]  # ascending offsets s with gcd(s, n) in D
 
     @property
     def n(self) -> int:
         return self.factorization.n
+
+    @property
+    def symbol_set(self) -> tuple[int, ...]:
+        """Ascending offsets s with gcd(s, n) in D, built on each access."""
+        n = self.n
+        dset = set(self.divisor_set.divisors)
+        return tuple(x for x in range(1, n) if math.gcd(x, n) in dset)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "divisors": list(self.divisor_set.divisors)}
@@ -56,11 +63,8 @@ def make_divisor_set(n: int, divisors) -> DivisorSet:
 
 
 def make_instance(n: int, divisors) -> IcgInstance:
-    """Build a validated IcgInstance with its cached symbol set."""
-    ds = make_divisor_set(n, divisors)
-    dset = set(ds.divisors)
-    symbols = tuple(x for x in range(1, n) if math.gcd(x, n) in dset)
-    return IcgInstance(factorize(n), ds, symbols)
+    """Build a validated IcgInstance."""
+    return IcgInstance(factorize(n), make_divisor_set(n, divisors))
 
 
 def adjacent(g: IcgInstance, a: int, b: int) -> bool:
@@ -79,5 +83,5 @@ def is_connected(ds: DivisorSet) -> bool:
 
 
 def degree(g: IcgInstance) -> int:
-    """Vertex degree; equals the size of the symbol set."""
-    return len(g.symbol_set)
+    """Vertex degree: the class of d holds phi(n/d) symbols."""
+    return sum(euler_phi(g.n // d) for d in g.divisor_set.divisors)

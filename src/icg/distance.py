@@ -1,12 +1,22 @@
 """Exact distances on integral circulant graphs.
 
-The main BFS works on bitmask frontiers: the set of vertices reached so far
-is one Python integer, and expanding a level rotates that integer once per
-symbol offset.  That keeps the exhaustive sweeps (thousands of BFS runs per
-order) fast without any compiled dependency.
+Multiplying by a unit of Z_n is an automorphism of ICG_n(D) that fixes 0,
+so d(0, x) depends only on gcd(x, n).  BFS therefore runs over the divisor
+classes of n instead of its n vertices; the class n stands for vertex 0.
+By CRT, adding a symbol of class d to a vertex of class g splits into one
+rule per prime p | n, on i = v_p(g), j = v_p(d) and a = v_p(n):
 
-``apsp_oracle`` deliberately uses a plain queue-based BFS per source vertex,
-so it is an independent cross-check of the bitmask implementation.
+- i != j: the sum has valuation min(i, j);
+- i = j = a: the sum has valuation a;
+- i = j < a, p odd: any valuation from i to a;
+- i = j < a, p = 2: any valuation from i + 1 to a.
+
+This is the gcd-graph view of Klotz and Sander, "Some properties of unitary
+Cayley graphs" (EJC 2007).  The smallest vertex of class g < n is g itself,
+so diameters and their witness vertices are read off the class distances.
+
+``apsp_oracle`` deliberately uses a plain queue-based BFS per source vertex
+over all n vertices, so it is an independent cross-check of the class BFS.
 """
 
 from __future__ import annotations
@@ -14,10 +24,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
+from .numtheory import Factorization
 
 #: Default cap on n for the all-pairs oracle.
 ORACLE_BOUND = 5000
@@ -60,73 +70,109 @@ class DiameterResult:
         }
 
 
-def symbol_mask(n: int, symbols) -> int:
-    """Pack a symbol set into a bitmask integer."""
-    m = 0
-    for s in symbols:
-        m |= 1 << s
-    return m
+class DivisorClasses:
+    """The divisor classes of Z_n, indexed in mixed radix.
 
-
-def _expand(mask: int, smask: int, n: int, full: int) -> int:
-    """Union of mask shifted by every symbol offset (cyclically).
-
-    Convolution trick: rotating the reached-set by each symbol equals
-    rotating the symbol mask by each reached vertex; we always rotate the
-    smaller description.  Both are computed the same way, so just rotate
-    smask by the set bits of mask when mask is sparse, else vice versa.
+    Class index i has the digit (i // stride_p) % (a_p + 1) = v_p of its
+    divisor for each prime p, smallest prime in the lowest digit, so a set
+    of classes is one bitmask integer.  Index 0 is the class 1 and the top
+    index is the class n, i.e. vertex 0.  Successor masks are computed per
+    symbol class on first use and kept, so one instance serves every
+    divisor set of the same order.
     """
-    out = 0
-    a, b = (mask, smask) if mask.bit_count() <= smask.bit_count() else (smask, mask)
-    while a:
-        low = a & -a
-        s = low.bit_length() - 1
-        a ^= low
-        out |= (b << s) | (b >> (n - s))
-    return out & full
+
+    def __init__(self, f: Factorization) -> None:
+        self._factors = f.factors
+        self._strides = []
+        divisors = [1]
+        for p, a in f.factors:
+            self._strides.append(len(divisors))
+            divisors = [d * p**e for e in range(a + 1) for d in divisors]
+        #: divisors[i] is the divisor of class index i.
+        self.divisors = tuple(divisors)
+        self.index = {d: i for i, d in enumerate(divisors)}
+        self._steps: dict[int, tuple[int, ...]] = {}
+
+    def step(self, d: int) -> tuple[int, ...]:
+        """For each class index, the mask of classes that adding a symbol
+        of class d to a vertex of that class can reach."""
+        row = self._steps.get(d)
+        if row is None:
+            j_digits = self._digits(self.index[d])
+            row = tuple(
+                self._box(self._digits(i), j_digits) for i in range(len(self.divisors))
+            )
+            self._steps[d] = row
+        return row
+
+    def _digits(self, i: int) -> list[int]:
+        return [(i // s) % (a + 1) for s, (_p, a) in zip(self._strides, self._factors)]
+
+    def _box(self, i_digits: list[int], j_digits: list[int]) -> int:
+        """Mask of the classes g + s falls in, over v_p(g) = i_digits and
+        v_p(s) = j_digits, by the per-prime rules in the module docstring."""
+        mask = 1
+        for (p, a), s, i, j in zip(self._factors, self._strides, i_digits, j_digits):
+            if i != j:
+                mask <<= min(i, j) * s
+            elif i == a:
+                mask <<= a * s
+            else:
+                mask = sum(mask << (e * s) for e in range(i + (p == 2), a + 1))
+        return mask
 
 
-def levels_from_zero(n: int, smask: int) -> list[int]:
-    """Bitmask of newly reached vertices per BFS level, starting at {0}."""
-    full = (1 << n) - 1
-    reached = 1
-    frontier = 1
-    levels = [1]
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def levels_from_zero(classes: DivisorClasses, divisors) -> list[int]:
+    """Bitmask of newly reached classes per BFS level, starting at the
+    class of vertex 0; bit i stands for ``classes.divisors[i]``."""
+    rows = [classes.step(d) for d in divisors]
+    frontier = reached = 1 << (len(classes.divisors) - 1)
+    levels = [frontier]
     while True:
-        frontier = _expand(frontier, smask, n, full) & ~reached
+        nxt = 0
+        for i in _bits(frontier):
+            for row in rows:
+                nxt |= row[i]
+        frontier = nxt & ~reached
         if not frontier:
             return levels
         reached |= frontier
         levels.append(frontier)
 
 
-def diameter_of_symbol_mask(n: int, smask: int) -> int | None:
-    """Diameter given a symbol bitmask; None when not all vertices are reached."""
-    levels = levels_from_zero(n, smask)
-    reached = 0
-    for m in levels:
-        reached |= m
-    if reached != (1 << n) - 1:
+def class_diameter(classes: DivisorClasses, divisors) -> int | None:
+    """Diameter of ICG_n(D) for D = divisors; None when some class is
+    not reached."""
+    levels = levels_from_zero(classes, divisors)
+    if sum(levels) != (1 << len(classes.divisors)) - 1:
         return None
     return len(levels) - 1
 
 
-@lru_cache(maxsize=512)
-def _profile(g: IcgInstance) -> DistanceProfile:
-    n = g.n
-    levels = levels_from_zero(n, symbol_mask(n, g.symbol_set))
-    dist: list[int | None] = [None] * n
-    for d, m in enumerate(levels):
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
-    return DistanceProfile(n, tuple(dist))
+def _class_distances(g: IcgInstance) -> dict[int, int | None]:
+    """d(0, x) keyed by gcd(x, n), with n for vertex 0; None marks an
+    unreachable class."""
+    classes = DivisorClasses(g.factorization)
+    dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
+    for d, m in enumerate(levels_from_zero(classes, g.divisor_set.divisors)):
+        for i in _bits(m):
+            dist[classes.divisors[i]] = d
+    return dist
 
 
 def bfs_profile(g: IcgInstance) -> DistanceProfile:
     """Exact shortest-path distances from vertex 0 (disconnected allowed)."""
-    return _profile(g)
+    n = g.n
+    dist = _class_distances(g)
+    return DistanceProfile(n, tuple(dist[math.gcd(v, n)] for v in range(n)))
 
 
 def diameter(g: IcgInstance) -> DiameterResult:
@@ -136,19 +182,21 @@ def diameter(g: IcgInstance) -> DiameterResult:
     would record: each step backtracks to the smallest vertex one level
     closer to 0.
     """
-    profile = bfs_profile(g)
-    if not is_connected(g.divisor_set):
-        witness = min(v for v, d in enumerate(profile.dist) if d is None)
-        return DiameterResult(None, witness, None)
-    value = max(profile.dist)  # type: ignore[type-var]
-    witness = min(v for v, d in enumerate(profile.dist) if d == value)
     n = g.n
-    sym = set(g.symbol_set)
+    dist = _class_distances(g)
+    if not is_connected(g.divisor_set):
+        witness = min(c for c, d in dist.items() if d is None)
+        return DiameterResult(None, witness, None)
+    value = max(dist.values())  # type: ignore[type-var]
+    witness = min(c for c, d in dist.items() if d == value)
+    dset = set(g.divisor_set.divisors)
     path = [witness]
     cur = witness
     for d in range(value - 1, -1, -1):
-        cur = min(
-            u for u, du in enumerate(profile.dist) if du == d and (cur - u) % n in sym
+        cur = next(
+            u
+            for u in range(n)
+            if math.gcd(cur - u, n) in dset and dist[math.gcd(u, n)] == d
         )
         path.append(cur)
     return DiameterResult(value, witness, tuple(reversed(path)))
@@ -159,13 +207,13 @@ def distance(g: IcgInstance, u: int, v: int) -> int | None:
     n = g.n
     if not (0 <= u < n and 0 <= v < n):
         raise DomainError(f"vertices must lie in [0, {n}), got ({u}, {v})")
-    return bfs_profile(g).dist[(v - u) % n]
+    return _class_distances(g)[math.gcd(v - u, n)]
 
 
 def apsp_oracle(g: IcgInstance, bound: int = ORACLE_BOUND) -> list[list[int | None]]:
     """All-pairs distances by a plain BFS from every vertex.
 
-    Independent of the bitmask path; used to validate vertex transitivity
+    Independent of the class BFS; used to validate vertex transitivity
     and the translation-invariant ``distance``.
     """
     n = g.n

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canonical import MAX_PROPER_DIVISORS
-from .core import DivisorSet, is_connected, make_instance
-from .distance import diameter_of_symbol_mask, symbol_mask
+from .core import DivisorSet, is_connected
+from .distance import DivisorClasses, class_diameter
 from .errors import DomainError, ResourceLimitError
 from .extremal import predict_overall_max
 from .numtheory import Factorization, proper_divisors
@@ -98,10 +98,8 @@ def pst_never_maximal(f: Factorization, max_divisors: int = MAX_PROPER_DIVISORS)
     if f.n % 4 != 0:
         raise DomainError(f"pst_never_maximal requires n in 4N, got {f.n}")
     bound = predict_overall_max(f).value
+    classes = DivisorClasses(f)
     for ds, _dec in enumerate_pst_sets(f, max_size=f.k, max_divisors=max_divisors):
-        if not is_connected(ds):
-            continue
-        g = make_instance(f.n, ds.divisors)
-        if diameter_of_symbol_mask(f.n, symbol_mask(f.n, g.symbol_set)) == bound:
+        if is_connected(ds) and class_diameter(classes, ds.divisors) == bound:
             return False
     return True

@@ -1,10 +1,16 @@
-"""Exhaustive verification: closed-form predictions vs the BFS oracle.
+"""Exhaustive verification: closed-form predictions vs BFS.
 
-For each order n, every connected divisor set (full power set of the proper
-divisors) gets a BFS diameter; maxima per cardinality and overall are
-compared against the predictions.  Mismatches are first-class records, not
-assertion failures: the whole sweep completes, and the caller decides the
-exit status.
+For each order n with k distinct prime factors, every connected divisor
+set with at most k elements gets a BFS diameter; maxima per cardinality
+and overall are compared against the predictions.  Larger sets cannot
+change a record: adding a divisor only adds edges, and every connected set
+contains a minimal connected subset, whose divisors each have their own
+prime dividing all the others, so it has at most k elements.  Sets are
+enumerated by size, then lexicographically, so each witness is the first
+set to reach its maximum, as over the full power set.
+
+Mismatches are first-class records, not assertion failures: the whole
+sweep completes, and the caller decides the exit status.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from itertools import combinations
 
 from .canonical import MAX_PROPER_DIVISORS, enumerate_separated
 from .core import DivisorSet, make_instance
-from .distance import apsp_oracle, diameter_of_symbol_mask
+from .distance import DivisorClasses, apsp_oracle, class_diameter
 from .errors import ResourceLimitError
 from .extremal import MaxDiameterPrediction, predict_max_for_t, predict_overall_max
 from .numtheory import factorize, proper_divisors
@@ -61,15 +67,6 @@ class VerificationRecord:
         ]
 
 
-def _class_masks(n: int, divisors: tuple[int, ...]) -> dict[int, int]:
-    masks = {d: 0 for d in divisors}
-    for x in range(1, n):
-        g = math.gcd(x, n)
-        if g in masks:
-            masks[g] |= 1 << x
-    return masks
-
-
 def verify_order(n: int, max_divisors: int = MAX_PROPER_DIVISORS) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
@@ -78,22 +75,17 @@ def verify_order(n: int, max_divisors: int = MAX_PROPER_DIVISORS) -> list[Verifi
         raise ResourceLimitError(
             f"n={n} has {len(divisors)} proper divisors, cap is {max_divisors}"
         )
-    masks = _class_masks(n, divisors)
+    classes = DivisorClasses(f)
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # t -> (max diam, witness)
-    overall: tuple[int, tuple[int, ...]] | None = None
-    for size in range(1, len(divisors) + 1):
+    for size in range(1, f.k + 1):
         for combo in combinations(divisors, size):
             if math.gcd(*combo) != 1:
                 continue
-            smask = 0
-            for d in combo:
-                smask |= masks[d]
-            diam = diameter_of_symbol_mask(n, smask)
-            assert diam is not None  # connected by the gcd filter
+            diam = class_diameter(classes, combo)
+            if diam is None:
+                raise RuntimeError(f"n={n}: connected set {combo} left classes unreached")
             if size not in best or diam > best[size][0]:
                 best[size] = (diam, combo)
-            if overall is None or diam > overall[0]:
-                overall = (diam, combo)
     records = []
     for t in range(1, f.k + 1):
         predicted = predict_max_for_t(f, t)
@@ -105,8 +97,8 @@ def verify_order(n: int, max_divisors: int = MAX_PROPER_DIVISORS) -> list[Verifi
         )
         records.append(VerificationRecord(n, t, predicted, observed, witness, status))
     predicted = predict_overall_max(f)
-    assert overall is not None  # D = {1} is always connected
-    observed, witness = overall
+    # The first strict maximum over sizes 1..k, in enumeration order.
+    observed, witness = max(best.values(), key=lambda entry: entry[0])
     status = Status.MATCH if predicted.value == observed else Status.MISMATCH
     records.append(VerificationRecord(n, None, predicted, observed, witness, status))
     return records

@@ -14,7 +14,7 @@ import pytest
 
 from icg.canonical import make_separated, separation_witness
 from icg.core import DivisorSet, is_connected, make_divisor_set, make_instance
-from icg.distance import diameter, distance, symbol_mask, diameter_of_symbol_mask
+from icg.distance import DivisorClasses, class_diameter, diameter, distance
 from icg.extremal import (
     diameter_two_cases,
     extremal_check_t_eq_k,
@@ -29,15 +29,12 @@ from icg.numtheory import factorize, proper_divisors, r_of
 from icg.pst import enumerate_pst_sets, pst_admissible, pst_never_maximal
 from icg.verify import Status, verify_range
 
+from bitmask_oracle import diameter_of_symbol_mask, symbol_mask
+
 
 def announce(capsys, text):
     with capsys.disabled():
         print(text)
-
-
-def bitmask_diameter(n, divisors):
-    g = make_instance(n, divisors)
-    return diameter_of_symbol_mask(n, symbol_mask(n, g.symbol_set))
 
 
 def test_criterion_01_figure_reproduction(capsys):
@@ -125,17 +122,26 @@ def test_criterion_06_two_t_plus_one_tightness(capsys):
         assert predicted == 2 * len(primes) + 1
         assert diameter(make_instance(n, ds.divisors)).value == predicted, n
     # No connected set with more divisors than prime factors ever reaches
-    # 2|D|+1 across the full sweep range.
+    # 2|D|+1 across the full sweep range.  The sweep itself never visits
+    # these sets, so the vertex-level bitmask oracle adjudicates them and
+    # the class engine must agree on each.
     for n in range(2, 151):
-        k = factorize(n).k
+        f = factorize(n)
         divs = proper_divisors(n)
-        for size in range(k + 1, len(divs) + 1):
+        classes = DivisorClasses(f)
+        masks = {d: symbol_mask(n, [d]) for d in divs}
+        for size in range(f.k + 1, len(divs) + 1):
             for combo in combinations(divs, size):
                 if math.gcd(*combo) != 1:
                     continue
-                dv = bitmask_diameter(n, combo)
+                dv = diameter_of_symbol_mask(n, sum(masks[d] for d in combo))
                 assert dv < 2 * size + 1, (n, combo, dv)
-    announce(capsys, "acceptance 6 PASS: tight family diameters 3/5/7; no |D| > k set reaches 2|D|+1 for n <= 150")
+                assert class_diameter(classes, combo) == dv, (n, combo)
+    announce(
+        capsys,
+        "acceptance 6 PASS: tight family diameters 3/5/7; no |D| > k set reaches 2|D|+1 "
+        "for n <= 150, and the class engine agrees with the bitmask oracle on each",
+    )
 
 
 def test_criterion_07_summand_representations(capsys):

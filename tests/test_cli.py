@@ -153,3 +153,35 @@ class TestEnvDefaults:
         code, out, _ = run(capsys, "predict", "30")
         assert code == 0
         assert json.loads(out)["value"] == 4
+
+    def test_jobs_env_not_an_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "2..3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "--jobs" in err
+
+    def test_jobs_env_is_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_JOBS", "2")
+        code, out, _ = run(capsys, "verify", "2..12")
+        assert code == 0
+        assert "0 mismatches" in out
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_non_positive_jobs_exits_2(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--jobs={jobs}", "verify", "2..3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "--jobs" in err
+
+    def test_oracle_bound_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--oracle-bound=10", "predict", "30"])
+        assert exc.value.code == 2
+        assert "--oracle-bound" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Tests for BFS distances and diameters.
 
-The main correctness tool here is cross-validation: the fast bitmask BFS
-is compared against apsp_oracle, a deliberately plain per-source BFS that
-shares no code with the production path.
+The main correctness tool here is cross-validation: the divisor-class BFS
+is compared against apsp_oracle, a deliberately plain per-source BFS over
+all vertices, and against the vertex-level bitmask BFS in bitmask_oracle;
+neither shares code with the production path.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import pytest
 
 from icg.core import make_instance
 from icg.distance import (
+    DivisorClasses,
     apsp_oracle,
     bfs_profile,
     diameter,
@@ -20,6 +22,8 @@ from icg.distance import (
 )
 from icg.errors import DomainError, ResourceLimitError
 from icg.numtheory import proper_divisors
+
+from bitmask_oracle import symbol_mask, vertex_levels
 
 
 class TestAgainstOracle:
@@ -72,6 +76,25 @@ class TestDiameter:
         for a, b in zip(path, path[1:]):
             assert adjacent(inst, a, b)
 
+    def test_path_backtracks_to_smallest_vertex(self):
+        # Each step goes to the smallest vertex one level closer to 0 that
+        # is adjacent to the current one, read off the oracle's distances.
+        for n, dset in [(12, [3, 4]), (30, [2, 3]), (90, [9, 10]), (540, [45, 20, 108])]:
+            inst = make_instance(n, dset)
+            dist = apsp_oracle(inst)[0]
+            res = diameter(inst)
+            expected = [res.witness_vertex]
+            for level in range(res.value - 1, -1, -1):
+                cur = expected[-1]
+                expected.append(
+                    min(u for u in range(n) if dist[u] == level and math.gcd(cur - u, n) in dset)
+                )
+            assert res.witness_path == tuple(reversed(expected)), (n, dset)
+        assert diameter(make_instance(12, [3, 4])).witness_path == (0, 8, 5, 2)
+        assert diameter(make_instance(6750, [18, 75, 250])).witness_path == (0, 234, 159, 84, 9, 45)
+        big = diameter(make_instance(22050, [105, 450, 882, 2450]))
+        assert big.witness_path == (0, 6174, 324, 219, 114, 9)
+
     def test_witness_is_smallest(self):
         inst = make_instance(12, [3, 4])
         table = apsp_oracle(inst)
@@ -103,17 +126,31 @@ class TestDistance:
 
 
 class TestLevels:
-    def test_levels_partition_vertex_masks(self):
-        from icg.distance import symbol_mask
-
+    def test_levels_partition_divisor_classes(self):
         inst = make_instance(30, [2, 3])
-        levels = levels_from_zero(30, symbol_mask(30, inst.symbol_set))
+        classes = DivisorClasses(inst.factorization)
+        assert sorted(classes.divisors) == [*proper_divisors(30), 30]
+        levels = levels_from_zero(classes, inst.divisor_set.divisors)
         seen = 0
         for lvl in levels:
             assert lvl & seen == 0
             seen |= lvl
-        assert seen == (1 << 30) - 1
-        assert levels[0] == 1
+        assert seen == (1 << len(classes.divisors)) - 1
+        assert levels[0] == 1 << classes.index[30]
+
+    def test_class_levels_match_vertex_levels(self):
+        # Vertex x sits on the level of its class gcd(x, n), connected or not.
+        for n, dset in [(30, [2, 3]), (72, [8, 9]), (100, [4, 25, 10]), (48, [6, 16]), (90, [6, 10])]:
+            classes = DivisorClasses(make_instance(n, dset).factorization)
+            class_levels = levels_from_zero(classes, dset)
+            vertex = vertex_levels(n, symbol_mask(n, dset))
+            assert len(class_levels) == len(vertex), (n, dset)
+            for cmask, vmask in zip(class_levels, vertex):
+                expected = 0
+                for x in range(n):
+                    if vmask >> x & 1:
+                        expected |= 1 << classes.index[math.gcd(x, n)]
+                assert cmask == expected, (n, dset)
 
 
 class TestOracleLimits:

@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from icg.canonical import MAX_PROPER_DIVISORS
 from icg.core import make_instance
-from icg.distance import diameter
+from icg.distance import DivisorClasses, class_diameter, diameter
 from icg.errors import ResourceLimitError
 from icg.extremal import predict_max_for_t, predict_overall_max
 from icg.numtheory import factorize, proper_divisors
@@ -21,17 +22,22 @@ from icg.verify import (
 
 
 def naive_maxima(n):
-    """Per-cardinality and overall diameter maxima by direct enumeration."""
+    """Per-cardinality and overall (diameter, witness) maxima over the full
+    power set; each witness is the first strict maximum in size-then-
+    lexicographic order."""
     divs = proper_divisors(n)
+    classes = DivisorClasses(factorize(n))
     per_t = {}
-    overall = 0
+    overall = (0, ())
     for size in range(1, len(divs) + 1):
         for combo in combinations(divs, size):
             if math.gcd(*combo) != 1:
                 continue
-            dv = diameter(make_instance(n, combo)).value
-            per_t[size] = max(per_t.get(size, 0), dv)
-            overall = max(overall, dv)
+            dv = class_diameter(classes, combo)
+            if dv > per_t.get(size, (0, ()))[0]:
+                per_t[size] = (dv, combo)
+            if dv > overall[0]:
+                overall = (dv, combo)
     return per_t, overall
 
 
@@ -44,15 +50,16 @@ class TestVerifyOrder:
         assert all(r.n == 30 for r in records)
 
     def test_against_naive_enumeration(self):
-        for n in (12, 18, 30, 45, 60):
+        # verify_order enumerates only |D| <= k; the naive maxima range over
+        # every connected set.  54, 120, 210, 250 and 270 add exponents of
+        # 3 or more, n = 2 (mod 4) and k = 4.
+        for n in (12, 18, 30, 45, 60, 54, 120, 210, 250, 270):
             records = verify_order(n)
             per_t, overall = naive_maxima(n)
-            k = factorize(n).k
+            assert [r.t for r in records] == [*range(1, factorize(n).k + 1), None]
             for r in records:
-                if r.t is None:
-                    assert r.observed_max == overall
-                elif r.t <= k:
-                    assert r.observed_max == per_t[r.t], (n, r.t)
+                expected = overall if r.t is None else per_t[r.t]
+                assert (r.observed_max, r.witness_set) == expected, (n, r.t)
 
     def test_all_match_small_orders(self):
         for n in range(2, 60):
@@ -76,6 +83,30 @@ class TestVerifyOrder:
                 assert r.predicted == predict_overall_max(f)
             else:
                 assert r.predicted == predict_max_for_t(f, r.t)
+
+
+class TestKnownCounterexamples:
+    def test_t_eq_k_mismatches_up_to_1000(self):
+        # The t = k prediction r(n) is one short for these orders of the
+        # form 2 p^a q with a >= 3; the overall prediction still holds.
+        refused = []
+        mismatches = []
+        for n in range(2, 1001):
+            if len(proper_divisors(n)) > MAX_PROPER_DIVISORS:
+                refused.append(n)
+                continue
+            for r in verify_order(n):
+                if r.t is None:
+                    assert r.status is Status.MATCH, n
+                elif r.status is Status.MISMATCH:
+                    mismatches.append((r.n, r.t, r.predicted.value, r.observed_max))
+        assert mismatches == [
+            (n, 3, 4, 5) for n in (270, 378, 594, 702, 750, 810, 918)
+        ]
+        assert refused == [
+            360, 420, 480, 504, 540, 600, 630, 660, 672, 720,
+            756, 780, 792, 840, 864, 900, 924, 936, 960, 990,
+        ]
 
 
 class TestVerifyRange:
