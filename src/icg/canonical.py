@@ -4,23 +4,25 @@ A connected divisor set D = {d_1, ..., d_t} is in canonical (separated)
 form when every divisor d_s has a dedicated prime p of n with p not
 dividing d_s but dividing every other member of D, the assignment being
 injective.  Maximal-diameter graphs can always be reduced to such sets,
-so enumeration over them (plus connectivity-filtered power sets for the
-oracle) drives the whole verification harness.
+so enumeration over them drives the whole verification harness.  Every
+enumeration of divisor subsets goes through ``divisor_subsets``, the one
+place that refuses a request for more than ``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .core import DivisorSet, make_divisor_set
 from .errors import DomainError, ResourceLimitError
 from .numtheory import Factorization, factorize, gcd_of, proper_divisors
 
-#: Refuse power-set enumeration when n has more proper divisors than this.
-MAX_PROPER_DIVISORS = 20
+#: Refuse to enumerate more divisor subsets than this for one order; the
+#: full power set passes exactly when n has at most 20 proper divisors.
+MAX_SUBSETS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,41 +106,41 @@ def minimal_connected(ds: DivisorSet) -> bool:
     )
 
 
-def _check_divisor_cap(n: int, max_divisors: int) -> tuple[int, ...]:
+def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Subsets of n's proper divisors with lo..hi elements (any size from lo
+    when hi is None), by size, then lexicographically.
+
+    Raises ResourceLimitError, before yielding anything, when there are
+    more than MAX_SUBSETS of them.
+    """
+    if lo < 1:
+        raise DomainError(f"cardinality must be >= 1, got {lo}")
     divisors = proper_divisors(n)
-    if len(divisors) > max_divisors:
+    top = len(divisors) if hi is None else min(hi, len(divisors))
+    sizes = range(lo, top + 1)
+    count = sum(math.comb(len(divisors), size) for size in sizes)
+    if count > MAX_SUBSETS:
         raise ResourceLimitError(
-            f"n={n} has {len(divisors)} proper divisors, cap is {max_divisors}"
+            f"n={n} has {count} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
         )
-    return divisors
+    return chain.from_iterable(combinations(divisors, size) for size in sizes)
 
 
-def enumerate_separated(
-    n: int, t: int, max_divisors: int = MAX_PROPER_DIVISORS
-) -> list[DivisorSet]:
+def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     """All t-element divisor sets of n admitting a separation witness, ascending."""
     f = factorize(n)
-    divisors = _check_divisor_cap(n, max_divisors)
     out = []
-    for combo in combinations(divisors, t):
+    for combo in divisor_subsets(n, t, t):
         ds = DivisorSet(n, combo)
         if separation_witness(f, ds) is not None:
             out.append(ds)
     return out
 
 
-def enumerate_connected(
-    n: int, t: int | None = None, max_divisors: int = MAX_PROPER_DIVISORS
-) -> list[DivisorSet]:
+def enumerate_connected(n: int, t: int | None = None) -> list[DivisorSet]:
     """All connected divisor sets of n with |D| = t (or any size if t is None)."""
-    divisors = _check_divisor_cap(n, max_divisors)
-    sizes = range(1, len(divisors) + 1) if t is None else [t]
-    out = []
-    for size in sizes:
-        for combo in combinations(divisors, size):
-            if math.gcd(*combo) == 1:
-                out.append(DivisorSet(n, combo))
-    return out
+    subsets = divisor_subsets(n) if t is None else divisor_subsets(n, t, t)
+    return [DivisorSet(n, combo) for combo in subsets if math.gcd(*combo) == 1]
 
 
 def make_separated(n: int, divisors) -> tuple[DivisorSet, SeparationWitness]:

@@ -3,9 +3,10 @@
 Exit codes: 0 success / all matches, 1 verification mismatch,
 2 usage or validation error.  Divisor lists are comma-separated without
 spaces; ranges use lo..hi inclusive.  Flags can be defaulted through
-environment variables with the ICG_ prefix (ICG_FORMAT, ICG_JOBS,
-ICG_MAX_SUBSETS); an environment default is parsed and checked like the
-flag itself.
+environment variables with the ICG_ prefix (ICG_FORMAT, ICG_JOBS); an
+environment default is parsed and checked like the flag itself.
+Commands that enumerate divisor sets refuse an order with more than
+``canonical.MAX_SUBSETS`` sets to visit (exit 2).
 """
 
 from __future__ import annotations
@@ -29,11 +30,23 @@ from .numtheory import factorize
 from .pst import pst_admissible
 from .verify import verify_range
 
+FORMATS = ("text", "json", "csv")
+
 
 def _env(name: str, fallback: str) -> str:
     # argparse runs a string default through the flag's type, so a bad
     # environment value is reported like a bad flag.
     return os.environ.get(f"ICG_{name}", fallback)
+
+
+def _format(text: str) -> str:
+    # A type rather than choices: argparse checks choices only on
+    # command-line values, never on an environment default.
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(FORMATS)}, got {text!r}"
+        )
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -59,10 +72,6 @@ def _order_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
-
-
-def _max_divisors(max_subsets: int) -> int:
-    return max(1, max_subsets.bit_length() - 1)
 
 
 def _emit(obj: dict, text: str, fmt: str) -> None:
@@ -96,13 +105,7 @@ def cmd_predict(args) -> int:
 
 def cmd_verify(args) -> int:
     lo, hi = args.range
-    report = verify_range(
-        lo,
-        hi,
-        jobs=args.jobs,
-        fail_fast=args.fail_fast,
-        max_divisors=_max_divisors(args.max_subsets),
-    )
+    report = verify_range(lo, hi, jobs=args.jobs, fail_fast=args.fail_fast)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
@@ -119,11 +122,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    max_divisors = _max_divisors(args.max_subsets)
     if args.kind == "separated":
-        sets = enumerate_separated(args.n, args.t, max_divisors=max_divisors)
+        sets = enumerate_separated(args.n, args.t)
     else:
-        sets = enumerate_connected(args.n, args.t, max_divisors=max_divisors)
+        sets = enumerate_connected(args.n, args.t)
     for ds in sets:
         print(json.dumps({"n": ds.n, "divisors": list(ds.divisors)}))
     return 0
@@ -177,18 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "csv"],
+        type=_format,
         default=_env("FORMAT", "text"),
+        metavar="{" + ",".join(FORMATS) + "}",
         help="output format",
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=_env("JOBS", "1"), help="worker processes for verify"
-    )
-    parser.add_argument(
-        "--max-subsets",
-        type=int,
-        default=_env("MAX_SUBSETS", str(1 << 20)),
-        help="cap on the power set enumerated per order",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

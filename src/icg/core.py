@@ -53,7 +53,8 @@ def make_divisor_set(n: int, divisors) -> DivisorSet:
     ds = list(divisors)
     if not ds:
         raise ValidationError("divisor set must be nonempty")
-    bad = [d for d in ds if not isinstance(d, int) or d < 1 or d >= n or n % d != 0]
+    # bool is an int subclass; True would otherwise pass as the divisor 1.
+    bad = [d for d in ds if not isinstance(d, int) or isinstance(d, bool) or not 0 < d < n or n % d]
     if bad:
         raise ValidationError(f"invalid divisors for n={n}: {sorted(set(bad))}")
     if len(set(ds)) != len(ds):

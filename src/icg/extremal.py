@@ -442,7 +442,7 @@ def two_three_summands(n: int, d: int, l: int) -> SummandRepresentation:
     raise DomainError(f"no two-summand representation for n={n}, d={d}, l={l}")
 
 
-def lift_diameter(m: int, ds: DivisorSet, base_diam: int, n_prime: int) -> int:
+def lift_diameter(m: int, base_diam: int, n_prime: int) -> int:
     """Diameter of the order-(m*n') graph with the same divisors.
 
     Exact when base_diam = diam over order m exceeds 2 and gcd(m, n') = 1:

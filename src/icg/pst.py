@@ -12,14 +12,13 @@ spectral machinery is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .canonical import MAX_PROPER_DIVISORS
+from .canonical import divisor_subsets
 from .core import DivisorSet, is_connected
 from .distance import DivisorClasses, class_diameter
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .extremal import predict_overall_max
-from .numtheory import Factorization, proper_divisors
+from .numtheory import Factorization
 
 
 @dataclass(frozen=True)
@@ -70,36 +69,29 @@ def pst_admissible(f: Factorization, ds: DivisorSet) -> PstDecomposition | None:
 
 
 def enumerate_pst_sets(
-    f: Factorization, max_size: int | None = None, max_divisors: int = MAX_PROPER_DIVISORS
+    f: Factorization, max_size: int | None = None
 ) -> list[tuple[DivisorSet, PstDecomposition]]:
     """All PST-admissible divisor sets of n, optionally capped in cardinality."""
     n = f.n
     if n % 4 != 0:
         return []
-    divisors = proper_divisors(n)
-    if len(divisors) > max_divisors:
-        raise ResourceLimitError(
-            f"n={n} has {len(divisors)} proper divisors, cap is {max_divisors}"
-        )
-    top = len(divisors) if max_size is None else min(max_size, len(divisors))
     out = []
-    for size in range(1, top + 1):
-        for combo in combinations(divisors, size):
-            ds = DivisorSet(n, combo)
-            dec = pst_admissible(f, ds)
-            if dec is not None:
-                out.append((ds, dec))
+    for combo in divisor_subsets(n, 1, max_size):
+        ds = DivisorSet(n, combo)
+        dec = pst_admissible(f, ds)
+        if dec is not None:
+            out.append((ds, dec))
     return out
 
 
-def pst_never_maximal(f: Factorization, max_divisors: int = MAX_PROPER_DIVISORS) -> bool:
+def pst_never_maximal(f: Factorization) -> bool:
     """Exhaustive check that no PST-admissible D with |D| <= k attains the
     overall maximal diameter of its order."""
     if f.n % 4 != 0:
         raise DomainError(f"pst_never_maximal requires n in 4N, got {f.n}")
     bound = predict_overall_max(f).value
     classes = DivisorClasses(f)
-    for ds, _dec in enumerate_pst_sets(f, max_size=f.k, max_divisors=max_divisors):
+    for ds, _dec in enumerate_pst_sets(f, max_size=f.k):
         if is_connected(ds) and class_diameter(classes, ds.divisors) == bound:
             return False
     return True

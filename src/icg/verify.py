@@ -5,9 +5,10 @@ set with at most k elements gets a BFS diameter; maxima per cardinality
 and overall are compared against the predictions.  Larger sets cannot
 change a record: adding a divisor only adds edges, and every connected set
 contains a minimal connected subset, whose divisors each have their own
-prime dividing all the others, so it has at most k elements.  Sets are
-enumerated by size, then lexicographically, so each witness is the first
-set to reach its maximum, as over the full power set.
+prime dividing all the others, so it has at most k elements.  Sets come
+from ``canonical.divisor_subsets`` by size, then lexicographically, so each
+witness is the first set to reach its maximum, as over the full power set;
+an order with more than ``MAX_SUBSETS`` such sets is refused.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -22,12 +23,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
-from .canonical import MAX_PROPER_DIVISORS, enumerate_separated
-from .core import DivisorSet, make_instance
+from .canonical import divisor_subsets, enumerate_separated
+from .core import make_instance
 from .distance import DivisorClasses, apsp_oracle, class_diameter
-from .errors import ResourceLimitError
+from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, predict_max_for_t, predict_overall_max
 from .numtheory import factorize, proper_divisors
 
@@ -67,25 +67,20 @@ class VerificationRecord:
         ]
 
 
-def verify_order(n: int, max_divisors: int = MAX_PROPER_DIVISORS) -> list[VerificationRecord]:
+def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
-    divisors = proper_divisors(n)
-    if len(divisors) > max_divisors:
-        raise ResourceLimitError(
-            f"n={n} has {len(divisors)} proper divisors, cap is {max_divisors}"
-        )
     classes = DivisorClasses(f)
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # t -> (max diam, witness)
-    for size in range(1, f.k + 1):
-        for combo in combinations(divisors, size):
-            if math.gcd(*combo) != 1:
-                continue
-            diam = class_diameter(classes, combo)
-            if diam is None:
-                raise RuntimeError(f"n={n}: connected set {combo} left classes unreached")
-            if size not in best or diam > best[size][0]:
-                best[size] = (diam, combo)
+    for combo in divisor_subsets(n, 1, f.k):
+        if math.gcd(*combo) != 1:
+            continue
+        diam = class_diameter(classes, combo)
+        if diam is None:
+            raise RuntimeError(f"n={n}: connected set {combo} left classes unreached")
+        size = len(combo)
+        if size not in best or diam > best[size][0]:
+            best[size] = (diam, combo)
     records = []
     for t in range(1, f.k + 1):
         predicted = predict_max_for_t(f, t)
@@ -145,23 +140,23 @@ def verify_range(
     n_hi: int,
     jobs: int = 1,
     fail_fast: bool = False,
-    max_divisors: int = MAX_PROPER_DIVISORS,
 ) -> RangeReport:
     """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs."""
     if n_lo < 2 or n_hi < n_lo:
-        raise ResourceLimitError(f"invalid range [{n_lo}, {n_hi}]")
+        raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
     records: list[VerificationRecord] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(verify_order, orders, [max_divisors] * len(orders))
-            for chunk in chunks:
+            for chunk in pool.map(verify_order, orders):
                 records.extend(chunk)
                 if fail_fast and any(r.status is Status.MISMATCH for r in chunk):
+                    # map has submitted every order; drop those not yet started.
+                    pool.shutdown(cancel_futures=True)
                     break
     else:
         for n in orders:
-            chunk = verify_order(n, max_divisors)
+            chunk = verify_order(n)
             records.extend(chunk)
             if fail_fast and any(r.status is Status.MISMATCH for r in chunk):
                 break

@@ -186,8 +186,7 @@ def test_criterion_08_diameter_lift(capsys):
     samples = samples[:200]
     assert len(samples) == 200
     for m, combo, base, n_prime in samples:
-        ds = make_divisor_set(m, combo)
-        predicted = lift_diameter(m, ds, base, n_prime)
+        predicted = lift_diameter(m, base, n_prime)
         actual = diameter(make_instance(m * n_prime, combo)).value
         assert actual == predicted, (m, combo, n_prime, actual, predicted)
     announce(capsys, "acceptance 8 PASS: 200 lift samples, prediction equals BFS in every case")

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from icg.canonical import (
+    divisor_subsets,
     enumerate_connected,
     enumerate_separated,
     iter_witnesses,
@@ -159,3 +160,37 @@ class TestEnumeration:
     def test_divisor_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_connected(720720, None)
+
+
+class TestDivisorSubsets:
+    def test_size_then_lexicographic_order(self):
+        divs = proper_divisors(60)
+        expected = [c for size in (2, 3) for c in itertools.combinations(divs, size)]
+        assert list(divisor_subsets(60, 2, 3)) == expected
+        assert len(list(divisor_subsets(60))) == 2 ** len(divs) - 1
+
+    def test_size_beyond_divisor_count_is_empty(self):
+        assert list(divisor_subsets(7, 2, 2)) == []
+
+    def test_full_power_set_guard_is_twenty_proper_divisors(self):
+        # 2^m - 1 > MAX_SUBSETS exactly when m > 20; the check runs before
+        # the first subset, so neither call enumerates anything.
+        assert len(proper_divisors(576)) == 20
+        divisor_subsets(576)
+        assert len(proper_divisors(3072)) == 21
+        with pytest.raises(ResourceLimitError):
+            divisor_subsets(3072)
+
+    def test_bounded_sizes_pass_where_power_set_is_refused(self):
+        # 360 has 23 proper divisors: 2^23 - 1 sets in all, 2,047 with
+        # at most k = 3 elements.
+        with pytest.raises(ResourceLimitError):
+            divisor_subsets(360)
+        assert sum(1 for _ in divisor_subsets(360, 1, 3)) == 23 + 253 + 1771
+
+    def test_empty_and_negative_sizes_rejected(self):
+        for t in (0, -1):
+            with pytest.raises(DomainError):
+                divisor_subsets(12, t, t)
+        with pytest.raises(DomainError):
+            enumerate_separated(12, 0)  # would yield the empty set

@@ -154,6 +154,15 @@ class TestEnvDefaults:
         assert code == 0
         assert json.loads(out)["value"] == 4
 
+    def test_format_env_not_a_format_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_FORMAT", "xml")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "30"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "--format" in err and "xml" in err
+
     def test_jobs_env_not_an_integer_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ICG_JOBS", "abc")
         with pytest.raises(SystemExit) as exc:
@@ -179,6 +188,25 @@ class TestGlobalFlags:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error:" in err and "--jobs" in err
+
+    def test_bad_format_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "xml", "predict", "30"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_max_subsets_flag_is_gone(self, capsys):
+        for argv in (["--max-subsets=5", "verify", "2..3"], ["--max-subsets", "5", "verify", "2..3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_non_positive_enumerate_size_exits_2(self, capsys, t):
+        code, out, err = run(capsys, "enumerate", "12", "--t", t, "--kind", "separated")
+        assert code == 2
+        assert out == "" and "error:" in err
 
     def test_oracle_bound_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,6 +32,13 @@ class TestMakeDivisorSet:
         with pytest.raises(ValidationError):
             make_divisor_set(12, [])
 
+    def test_rejects_bools(self):
+        # bool is an int subclass, so True would pass as the divisor 1.
+        with pytest.raises(ValidationError):
+            make_divisor_set(4, [True])
+        with pytest.raises(ValidationError):
+            make_divisor_set(12, [3, True])
+
     def test_error_lists_offenders(self):
         with pytest.raises(ValidationError) as exc:
             make_divisor_set(12, [3, 5, 7])

@@ -10,6 +10,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icg.core import make_instance
 from icg.distance import (
@@ -123,6 +125,34 @@ class TestDistance:
         inst = make_instance(12, [3, 4])
         with pytest.raises(DomainError):
             distance(inst, 0, 12)
+
+
+@st.composite
+def connected_instances(draw):
+    """An order n <= 120, a connected divisor set of n and two vertices.
+
+    A drawn set whose gcd g exceeds 1 gains one divisor coprime to g (1 is
+    always one), so every draw is connected without rejection.
+    """
+    n = draw(st.integers(2, 120))
+    divs = proper_divisors(n)
+    chosen = draw(st.sets(st.sampled_from(divs), min_size=1))
+    g = math.gcd(*chosen)
+    if g != 1:
+        chosen.add(draw(st.sampled_from([d for d in divs if math.gcd(d, g) == 1])))
+    u = draw(st.integers(0, n - 1))
+    v = draw(st.integers(0, n - 1))
+    return make_instance(n, chosen), u, v
+
+
+class TestOracleProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(connected_instances())
+    def test_engine_matches_oracle(self, drawn):
+        inst, u, v = drawn
+        table = apsp_oracle(inst)
+        assert diameter(inst).value == max(max(row) for row in table)
+        assert distance(inst, u, v) == table[u][v]
 
 
 class TestLevels:

@@ -337,13 +337,11 @@ class TestTwoThreeSummands:
 
 class TestLift:
     def test_examples(self):
-        ds = make_divisor_set(12, [3, 4])
-        assert lift_diameter(12, ds, 3, 5) == 3
+        assert lift_diameter(12, 3, 5) == 3
         assert diameter(make_instance(60, [3, 4])).value == 3
-        assert lift_diameter(12, ds, 3, 7) == 3
-        ds45 = make_divisor_set(45, [9, 5])
+        assert lift_diameter(12, 3, 7) == 3
         assert diameter(make_instance(45, [9, 5])).value == 3
-        assert lift_diameter(45, ds45, 3, 2) == 4
+        assert lift_diameter(45, 3, 2) == 4
         assert diameter(make_instance(90, [9, 5])).value == 4
 
     def test_small_base_cases(self):
@@ -359,9 +357,9 @@ class TestLift:
     def test_guards(self):
         ds = make_divisor_set(12, [3, 4])
         with pytest.raises(DomainError):
-            lift_diameter(12, ds, 2, 5)
+            lift_diameter(12, 2, 5)
         with pytest.raises(DomainError):
-            lift_diameter(12, ds, 3, 4)  # not coprime
+            lift_diameter(12, 3, 4)  # not coprime
         with pytest.raises(DomainError):
             lift_diameter_small(12, ds, 3, 5)
 
