@@ -17,8 +17,8 @@ import os
 import sys
 
 from .canonical import enumerate_connected, enumerate_separated, make_separated
-from .core import degree, make_divisor_set, make_instance
-from .distance import BFS_WORK_WARN, diameter
+from .core import make_divisor_set, make_instance
+from .distance import diameter
 from .errors import IcgError
 from .extremal import (
     predict_max_for_t,
@@ -80,9 +80,6 @@ def _emit(obj: dict, text: str, fmt: str) -> None:
 
 def cmd_diameter(args) -> int:
     g = make_instance(args.n, args.divisors)
-    work = args.n * degree(g)
-    if work > BFS_WORK_WARN:
-        print(f"warning: BFS work n*|S| = {work} is large", file=sys.stderr)
     result = diameter(g)
     obj = {"instance": g.to_json_obj(), **result.to_json_obj()}
     if result.value is None:

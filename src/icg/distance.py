@@ -29,11 +29,8 @@ from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
 from .numtheory import Factorization
 
-#: Default cap on n for the all-pairs oracle.
+#: Cap on n for the all-pairs oracle.
 ORACLE_BOUND = 5000
-
-#: The CLI warns when n * |S| exceeds this.
-BFS_WORK_WARN = 10**9
 
 
 @dataclass(frozen=True)
@@ -210,15 +207,15 @@ def distance(g: IcgInstance, u: int, v: int) -> int | None:
     return _class_distances(g)[math.gcd(v - u, n)]
 
 
-def apsp_oracle(g: IcgInstance, bound: int = ORACLE_BOUND) -> list[list[int | None]]:
+def apsp_oracle(g: IcgInstance) -> list[list[int | None]]:
     """All-pairs distances by a plain BFS from every vertex.
 
     Independent of the class BFS; used to validate vertex transitivity
     and the translation-invariant ``distance``.
     """
     n = g.n
-    if n > bound:
-        raise ResourceLimitError(f"apsp_oracle bound exceeded: n={n} > {bound}")
+    if n > ORACLE_BOUND:
+        raise ResourceLimitError(f"apsp_oracle bound exceeded: n={n} > {ORACLE_BOUND}")
     dset = set(g.divisor_set.divisors)
     offsets = [x for x in range(1, n) if math.gcd(x, n) in dset]
     table: list[list[int | None]] = []

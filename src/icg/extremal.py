@@ -30,7 +30,6 @@ from .numtheory import (
     proper_divisors,
     r_of,
     s_of,
-    valuation,
 )
 
 
@@ -145,53 +144,46 @@ def predict_max_for_t(f: Factorization, t: int) -> MaxDiameterPrediction:
     return MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_SMALL_S)
 
 
-def _paired_divisor(w: SeparationWitness, p: int) -> int | None:
-    for d, q in w.assignment:
-        if q == p:
-            return d
-    return None
+def _squares_off(ds: DivisorSet, p: int, skip: tuple[int, ...]) -> bool:
+    """p**2 divides every divisor of ds outside skip."""
+    pp = p * p
+    return all(e % pp == 0 for e in ds.divisors if e not in skip)
+
+
+def _sharp_primes(f: Factorization, w: SeparationWitness) -> tuple[int | None, list[int]]:
+    """The divisor dedicated to 2 (None when 2 is not a witness prime) and
+    the odd primes of n exactly dividing it."""
+    d1 = next((d for d, p in w.assignment if p == 2), None)
+    if d1 is None:
+        return None, []
+    return d1, [p for p in f.primes if p != 2 and d1 % p == 0 and d1 % (p * p) != 0]
+
+
+def _untouched(f: Factorization, ds: DivisorSet) -> list[tuple[int, int]]:
+    """The prime powers (p, a) of n whose prime divides no divisor of ds."""
+    return [(p, a) for p, a in f.factors if all(d % p != 0 for d in ds.divisors)]
 
 
 def _condition_i_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
     """For every witness prime p with exponent > 1, every divisor other than
     its dedicated one is divisible by p**2."""
-    for p, a in f.factors:
-        if a <= 1:
-            continue
-        dp = _paired_divisor(w, p)
-        if dp is None:
-            continue
-        for d in ds.divisors:
-            if d != dp and valuation(p, d) <= 1:
-                return False
-    return True
+    return all(_squares_off(ds, p, (d,)) for d, p in w.assignment if f.n % (p * p) == 0)
 
 
 def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
-    if f.n % 4 != 2:
-        return False
-    d1 = _paired_divisor(w, 2)
-    if d1 is None:
-        return False
-    # exactly one odd prime exactly dividing d1
-    sharp = [p for p in f.primes if p != 2 and valuation(p, d1) == 1]
-    if len(sharp) != 1:
+    """n = 2 (mod 4) and exactly one odd prime pj exactly divides the divisor
+    d1 dedicated to 2; pj**2 divides every divisor but d1 and pj's own, and
+    every other witness prime with exponent > 1 square-divides every divisor
+    but its dedicated one."""
+    d1, sharp = _sharp_primes(f, w)
+    if f.n % 4 != 2 or len(sharp) != 1:
         return False
     pj = sharp[0]
-    dj = _paired_divisor(w, pj)
-    for d in ds.divisors:
-        if d not in (d1, dj) and valuation(pj, d) <= 1:
-            return False
-    # every other prime with exponent > 1 must square-divide all divisors
-    # except its dedicated one
-    for p, a in f.factors:
-        if p == pj or a <= 1:
-            continue
-        dp = _paired_divisor(w, p)
-        for d in ds.divisors:
-            if d != dp and valuation(p, d) <= 1:
-                return False
-    return True
+    return all(
+        _squares_off(ds, p, (d1, d) if p == pj else (d,))
+        for d, p in w.assignment
+        if p == pj or f.n % (p * p) == 0
+    )
 
 
 def extremal_check_t_eq_k(
@@ -216,9 +208,7 @@ def _injection_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness)
     non-witness primes to those divisors being injective between primes of
     exponent 1 on both sides."""
     witness_primes = set(w.primes)
-    if 2 in witness_primes:
-        return False
-    if not _condition_i_holds(f, ds, w):
+    if 2 in witness_primes or not _condition_i_holds(f, ds, w):
         return False
     targets = []
     for p, a in f.factors:
@@ -229,27 +219,17 @@ def _injection_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness)
         missing = [d for d in ds.divisors if d % p != 0]
         if len(missing) != 1:
             return False
-        d = missing[0]
-        q = w.prime_for(d)
-        if valuation(q, f.n) != 1:
+        q = w.prime_for(missing[0])
+        if f.n % (q * q) == 0:
             return False
-        targets.append(d)
+        targets.append(missing[0])
     return len(targets) == len(set(targets))
 
 
-def _square_pair_condition(
-    f: Factorization, ds: DivisorSet, w: SeparationWitness, odd_only: bool
-) -> bool:
+def _square_pair_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
     """Cases with the 2t/2t+1 bound: each witness prime square-divides every
-    divisor except its dedicated one (odd witness primes required when the
-    order is even)."""
-    if odd_only and 2 in set(w.primes):
-        return False
-    for d, p in w.assignment:
-        for e in ds.divisors:
-            if e != d and valuation(p, e) <= 1:
-                return False
-    return True
+    divisor except its dedicated one."""
+    return all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
 
 
 def extremal_check_t_lt_k(
@@ -259,93 +239,78 @@ def extremal_check_t_lt_k(
 
     Standing hypothesis: every prime of n divides at least one divisor
     (otherwise the caller must take the untouched-prime route).  Existence
-    conditions quantify over the choice of dedicated primes, so every valid
-    witness is tried, not only the one supplied.
+    conditions quantify over the choice of dedicated primes, so ``w`` is
+    accepted but every valid witness is tried, not only ``w``.
     """
-    t = len(ds.divisors)
-    if t >= f.k:
+    if len(ds.divisors) >= f.k:
         raise DomainError(f"extremal_check_t_lt_k requires |D| < k = {f.k}")
-    n, s = f.n, s_of(f)
-    untouched = [p for p in f.primes if all(d % p != 0 for d in ds.divisors)]
-    if s >= 2 and n % 4 != 2:
-        case, check = "thm:t<k i", _injection_condition
-    elif s >= 2:  # n = 2 (mod 4)
-        case, check = "thm:t<k ii", _injection_condition
-    elif n % 2 == 1:
-        case = "thm:t<k iii"
-        check = lambda f_, ds_, w_: _square_pair_condition(f_, ds_, w_, odd_only=False)
-    else:
-        case = "thm:t<k iv"
-        check = lambda f_, ds_, w_: _square_pair_condition(f_, ds_, w_, odd_only=True)
-    if untouched:
+    n = f.n
+    untouched = _untouched(f, ds)
+    if s_of(f) >= 2:
         # The injection cases need every prime of n to touch some divisor.
-        # The square-pair cases reduce to the touched part: split off the
-        # untouched prime powers and test the condition over what remains.
-        if check is _injection_condition:
+        if untouched:
             raise DomainError(
-                f"primes {untouched} divide no divisor; use check_untouched_prime"
+                f"primes {[p for p, _ in untouched]} divide no divisor; use check_untouched_prime"
             )
-        v = check_untouched_prime(f, ds)
-        if n % 2 == 0:
-            return ExtremalVerdict(v.attains_two_t_plus_one, case if v.attains_two_t_plus_one else None)
-        return ExtremalVerdict(v.attains_two_t, case if v.attains_two_t else None)
-    for cand in iter_witnesses(f, ds):
-        if check(f, ds, cand):
-            return ExtremalVerdict(True, case)
-    return ExtremalVerdict(False)
+        case = "thm:t<k ii" if n % 4 == 2 else "thm:t<k i"
+        holds = any(_injection_condition(f, ds, cand) for cand in iter_witnesses(f, ds))
+    else:
+        case = "thm:t<k iv" if n % 2 == 0 else "thm:t<k iii"
+        if untouched:
+            # The square-pair cases reduce to the touched part: split off the
+            # untouched prime powers and test the condition over what remains.
+            v = check_untouched_prime(f, ds)
+            holds = v.attains_two_t_plus_one if n % 2 == 0 else v.attains_two_t
+        else:
+            # Case iv (even n) needs odd witness primes; for odd n, 2 is never one.
+            holds = any(
+                2 not in cand.primes and _square_pair_condition(f, ds, cand)
+                for cand in iter_witnesses(f, ds)
+            )
+    return ExtremalVerdict(True, case) if holds else ExtremalVerdict(False)
 
 
 def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVerdict:
     """Divisor sets leaving some prime power of n untouched.
 
     Split n = m * n' with n' the product of the untouched prime powers.
-    The set attains r(n) exactly when n' = 2, m is odd and the divisors
-    attain r(m) through the square-divisibility condition; it attains
-    2|D|+1 exactly when n' is even and some witness over m has every
-    witness prime square-dividing all non-dedicated divisors.
+    The set attains r(n) when n' = 2 (so m is odd) and the divisors attain
+    r(m) through the square-divisibility condition; this is sufficient, not
+    necessary.  It attains 2|D|+1 exactly when n' is even and some witness
+    over m has every witness prime square-dividing all non-dedicated
+    divisors.
     """
-    untouched = [
-        (p, a) for p, a in f.factors if all(d % p != 0 for d in ds.divisors)
-    ]
+    untouched = _untouched(f, ds)
     if not untouched:
         raise DomainError("every prime of n divides some divisor; nothing untouched")
-    n_prime = 1
-    for p, a in untouched:
-        n_prime *= p**a
+    n_prime = math.prod(p**a for p, a in untouched)
     m = f.n // n_prime
+    square_pair = attains_r = False
     if m == 1:
         # D = {1}: the square-pair condition over the (empty) touched part
         # holds vacuously, so attainment is decided by the parity of n'.
         # Needs at least two primes; for prime powers the 2t/2t+1 branch of
         # the cardinality formula does not exist.
-        if f.k < 2:
-            return UntouchedPrimeVerdict(False, None, False, m, n_prime)
-        even = n_prime % 2 == 0
-        return UntouchedPrimeVerdict(False, None, even, m, n_prime, not even)
-    fm = factorize(m)
-    if len(ds.divisors) != fm.k:
-        return UntouchedPrimeVerdict(False, None, False, m, n_prime)
-    ds_m = DivisorSet(m, ds.divisors) if all(m % d == 0 and d < m for d in ds.divisors) else None
-    if ds_m is None:
-        return UntouchedPrimeVerdict(False, None, False, m, n_prime)
-    attains_r = False
-    attains_2t1 = False
-    attains_2t = False
-    for w in iter_witnesses(fm, ds_m):
-        if not attains_r and n_prime == 2 and m % 2 == 1 and _condition_i_holds(fm, ds_m, w):
-            attains_r = True
-        if not attains_2t1 and n_prime % 2 == 0 and _square_pair_condition(
-            fm, ds_m, w, odd_only=False
-        ):
-            attains_2t1 = True
-        if not attains_2t and n_prime % 2 == 1 and _square_pair_condition(
-            fm, ds_m, w, odd_only=False
-        ):
-            attains_2t = True
-        if attains_r and (attains_2t1 or attains_2t):
-            break
+        square_pair = f.k >= 2
+    else:
+        fm = factorize(m)
+        # Every divisor divides m, as it divides n and is coprime to n'.
+        if len(ds.divisors) == fm.k and m not in ds.divisors:
+            ds_m = DivisorSet(m, ds.divisors)
+            square_pair = any(
+                _square_pair_condition(fm, ds_m, w) for w in iter_witnesses(fm, ds_m)
+            )
+            attains_r = n_prime == 2 and any(
+                _condition_i_holds(fm, ds_m, w) for w in iter_witnesses(fm, ds_m)
+            )
+    even = n_prime % 2 == 0
     return UntouchedPrimeVerdict(
-        attains_r, "thm:main" if attains_r else None, attains_2t1, m, n_prime, attains_2t
+        attains_r,
+        "thm:main" if attains_r else None,
+        square_pair and even,
+        m,
+        n_prime,
+        square_pair and not even,
     )
 
 
@@ -395,10 +360,9 @@ def worst_vertex(
         raise DomainError(f"variant must be 'I' or 'II', got {variant!r}")
     special: int | None = None
     if variant == "II":
-        d1 = _paired_divisor(w, 2)
+        d1, sharp = _sharp_primes(f, w)
         if d1 is None:
             raise DomainError("variant II requires a divisor dedicated to the prime 2")
-        sharp = [p for p in f.primes if p != 2 and valuation(p, d1) == 1]
         if len(sharp) != 1:
             raise DomainError(
                 f"variant II requires exactly one odd prime exactly dividing {d1}, "
@@ -494,9 +458,7 @@ def saxena_family(primes) -> tuple[int, DivisorSet, int]:
         fp = factorize(p)
         if fp.factors != ((p, 1),):
             raise DomainError(f"{p} is not prime")
-    m = 1
-    for p in ps:
-        m *= p * p
+    m = math.prod(p * p for p in ps)
     n = 2 * m
     ds = make_divisor_set(n, sorted(m // (p * p) for p in ps))
     return n, ds, 2 * len(ps) + 1

@@ -2,8 +2,8 @@
 and the diameter statistics r(n) and s(n).
 
 All functions are pure and operate on exact Python integers.  Factorization
-uses deterministic trial division, which is plenty for the configured bound
-(default 2**40) and keeps results reproducible bit-for-bit.
+uses deterministic trial division, which is plenty below ``FACTOR_BOUND``
+(2**40) and keeps results reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: Largest n accepted by :func:`factorize` unless a caller overrides it.
+#: Largest n accepted by :func:`factorize`.
 FACTOR_BOUND = 1 << 40
 
 
@@ -45,12 +45,12 @@ class CrtSystem:
     congruences: tuple[tuple[int, int], ...]  # ((residue, modulus), ...)
 
 
-def factorize(n: int, bound: int = FACTOR_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Prime factorization of n by trial division up to sqrt(n)."""
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")
-    if n > bound:
-        raise DomainError(f"factorize bound exceeded: {n} > {bound}")
+    if n > FACTOR_BOUND:
+        raise DomainError(f"factorize bound exceeded: {n} > {FACTOR_BOUND}")
     factors = []
     m = n
     p = 2

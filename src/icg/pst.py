@@ -31,7 +31,7 @@ class PstDecomposition:
     a: int  # 1 or 2
 
     def parts_union(self) -> set[int]:
-        return set(self.d3tilde) | set(self.d2) | set(self.two_d2) | set(self.four_d2) | {self.hub}
+        return {self.hub, *self.d3tilde, *self.d2, *self.two_d2, *self.four_d2}
 
     def to_json_obj(self) -> dict:
         return {
@@ -47,25 +47,20 @@ class PstDecomposition:
 def pst_admissible(f: Factorization, ds: DivisorSet) -> PstDecomposition | None:
     """Decompose D per the PST characterization, or None if it does not fit.
 
-    When both a = 1 and a = 2 produce valid decompositions, a = 1 is
-    reported.
+    Neither n/2 nor n/4 falls in the other parts, so at most one hub fits
+    and it must lie in D; a = 1 is tried first.
     """
     n = f.n
     if n % 4 != 0:
         return None
     dset = set(ds.divisors)
+    a = next((a for a in (1, 2) if n >> a in dset), None)
+    if a is None:
+        return None
     d3 = tuple(d for d in ds.divisors if (n // d) % 8 == 0)
     d2 = tuple(d for d in ds.divisors if (n // d) % 8 == 4 and d != n // 4)
-    two_d2 = tuple(2 * d for d in d2)
-    four_d2 = tuple(4 * d for d in d2)
-    for a in (1, 2):
-        hub = n >> a
-        if hub not in dset:
-            continue
-        union = set(d3) | set(d2) | set(two_d2) | set(four_d2) | {hub}
-        if union == dset:
-            return PstDecomposition(d3, d2, two_d2, four_d2, hub, a)
-    return None
+    dec = PstDecomposition(d3, d2, tuple(2 * d for d in d2), tuple(4 * d for d in d2), n >> a, a)
+    return dec if dec.parts_union() == dset else None
 
 
 def enumerate_pst_sets(

@@ -163,7 +163,7 @@ def verify_range(
     return RangeReport(n_lo, n_hi, tuple(records))
 
 
-def verify_transitivity(n_max: int, oracle_bound: int = 5000) -> dict:
+def verify_transitivity(n_max: int) -> dict:
     """Constant row eccentricity (vertex transitivity) via the all-pairs
     oracle, over deterministic sample instances for each order."""
     checked = 0
@@ -182,7 +182,7 @@ def verify_transitivity(n_max: int, oracle_bound: int = 5000) -> dict:
                 continue
             seen.add(key)
             g = make_instance(n, divisors)
-            table = apsp_oracle(g, bound=oracle_bound)
+            table = apsp_oracle(g)
             eccs = {
                 None if any(d is None for d in row) else max(row) for row in table
             }

@@ -31,6 +31,13 @@ class TestDiameter:
         assert code == 0
         assert "infinite" in out
 
+    def test_large_degree_writes_nothing_to_stderr(self, capsys):
+        # n * degree is 4 * 10^9 here; the class BFS does not scale with it.
+        code, out, err = run(capsys, "diameter", "100000", "1")
+        assert code == 0
+        assert out.startswith("3 ")
+        assert err == ""
+
     def test_invalid_divisor_exits_2(self, capsys):
         code, _, err = run(capsys, "diameter", "12", "5")
         assert code == 2

@@ -8,13 +8,14 @@ pinned down explicitly.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from icg.canonical import make_separated, separation_witness
+from icg.canonical import enumerate_separated, make_separated, separation_witness
 from icg.core import DivisorSet, make_divisor_set, make_instance
-from icg.distance import diameter, distance
+from icg.distance import DivisorClasses, class_diameter, diameter, distance
 from icg.errors import DomainError
 from icg.extremal import (
     CaseLabel,
@@ -237,6 +238,17 @@ class TestUntouchedPrime:
         v105 = check_untouched_prime(f105, make_divisor_set(105, [5, 7]))
         assert not v105.attains and not v105.attains_two_t_plus_one
 
+    def test_condition_is_not_necessary(self):
+        # n' = 2 and BFS reaches r(210) = 4, but {3, 15, 35} has no separation
+        # witness over m = 105 (no prime divides 3 and 35 but not 15), so the
+        # sufficient condition for r(n) cannot hold; the verdict stays negative.
+        f = factorize(210)
+        ds = make_divisor_set(210, [3, 15, 35])
+        v = check_untouched_prime(f, ds)
+        assert (v.touched, v.untouched) == (105, 2)
+        assert not v.attains and v.matched_condition is None
+        assert class_diameter(DivisorClasses(f), ds.divisors) == r_of(f) == 4
+
     def test_all_touched_rejected(self):
         with pytest.raises(DomainError):
             check_untouched_prime(factorize(450), make_divisor_set(450, [25, 9, 2]))
@@ -263,6 +275,33 @@ class TestUntouchedPrime:
                         assert dv == 2 * t + 1, (n, combo)
                     if v.attains_two_t:
                         assert dv == 2 * t, (n, combo)
+
+
+class TestVerdictCounts:
+    def test_separated_sets_up_to_399(self):
+        # Pins the verdicts themselves, not only their sufficiency: every
+        # separated set with t <= k and n <= 399, checked with its first
+        # witness, routed as the closed-form layer routes it.  A change that
+        # turned positive verdicts negative (or the reverse) moves a count.
+        t_eq_k, t_lt_k, untouched = Counter(), Counter(), Counter()
+        for n in range(2, 400):
+            f = factorize(n)
+            for t in range(1, f.k + 1):
+                for ds in enumerate_separated(n, t):
+                    w = separation_witness(f, ds)
+                    if t == f.k:
+                        label = extremal_check_t_eq_k(f, ds, w).matched_condition
+                        t_eq_k[label and label.split()[-1]] += 1
+                    elif any(all(d % p for d in ds.divisors) for p in f.primes):
+                        v = check_untouched_prime(f, ds)
+                        flags = (v.attains, v.attains_two_t_plus_one, v.attains_two_t)
+                        untouched["".join("T" if b else "F" for b in flags)] += 1
+                    else:
+                        label = extremal_check_t_lt_k(f, ds, w).matched_condition
+                        t_lt_k[label and label.split()[-1]] += 1
+        assert t_eq_k == {"i": 516, "ii": 8, None: 345}
+        assert t_lt_k == {"i": 34, "ii": 95, None: 1056}
+        assert untouched == {"FFF": 1750, "FFT": 116, "FTF": 191, "TFF": 48}
 
 
 class TestSmallFamilies:

@@ -11,6 +11,7 @@ import pytest
 
 from icg.errors import DomainError, ValidationError
 from icg.numtheory import (
+    FACTOR_BOUND,
     CrtSystem,
     Factorization,
     crt_solve,
@@ -71,6 +72,11 @@ class TestFactorize:
             factorize(0)
         with pytest.raises(DomainError):
             factorize(-6)
+
+    def test_rejects_above_factor_bound(self):
+        assert factorize(FACTOR_BOUND).factors == ((2, 40),)
+        with pytest.raises(DomainError):
+            factorize(FACTOR_BOUND + 1)
 
     def test_properties(self):
         f = factorize(540)

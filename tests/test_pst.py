@@ -71,6 +71,20 @@ class TestPstAdmissible:
         if dec is not None:
             assert dec.a == 1
 
+    def test_at_most_one_hub_fits(self):
+        # n/2 and n/4 never fall in the other parts, so the unions for a = 1
+        # and a = 2 cannot both equal D; pst_admissible tries only the hub in D.
+        for n in range(4, 129, 4):
+            for size in (1, 2, 3, 4):
+                for combo in combinations(proper_divisors(n), size):
+                    dset = set(combo)
+                    d2 = {d for d in dset if (n // d) % 8 == 4} - {n // 4}
+                    parts = {d for d in dset if (n // d) % 8 == 0} | d2
+                    parts |= {2 * d for d in d2} | {4 * d for d in d2}
+                    assert n // 2 not in parts and n // 4 not in parts, (n, combo)
+                    fits = [a for a in (1, 2) if parts | {n >> a} == dset]
+                    assert len(fits) <= 1, (n, combo)
+
     def test_rejects_non_multiples_of_four(self):
         assert pst_admissible(factorize(6), make_divisor_set(6, [1, 2])) is None
         assert pst_admissible(factorize(15), make_divisor_set(15, [1])) is None
