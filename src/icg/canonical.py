@@ -2,18 +2,20 @@
 
 A connected divisor set D = {d_1, ..., d_t} is in canonical (separated)
 form when every divisor d_s has a dedicated prime p of n with p not
-dividing d_s but dividing every other member of D, the assignment being
-injective.  Maximal-diameter graphs can always be reduced to such sets,
-so enumeration over them drives the whole verification harness.  Every
-enumeration of divisor subsets goes through ``divisor_subsets``, the one
-place that refuses a request for more than ``MAX_SUBSETS`` sets.
+dividing d_s but dividing every other member of D.  No other divisor can
+take that prime, so the eligible-prime lists are disjoint and a set is
+separated exactly when none is empty.  Maximal-diameter graphs can always
+be reduced to such sets, so enumeration over them drives the whole
+verification harness.  Every enumeration of divisor subsets goes through
+``divisor_subsets``, the one place that refuses a request for more than
+``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Iterator
 
 from .core import DivisorSet, make_divisor_set
@@ -27,10 +29,10 @@ MAX_SUBSETS = 1 << 20
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """Injective assignment divisor -> dedicated prime.
+    """Assignment divisor -> dedicated prime.
 
     For each (d, p) pair: p does not divide d, and p divides every other
-    divisor of the set.
+    divisor of the set, so no other divisor can have p: it is injective.
     """
 
     assignment: tuple[tuple[int, int], ...]  # ((divisor, prime), ...) divisor-ascending
@@ -61,28 +63,15 @@ def _eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[i
 
 
 def iter_witnesses(f: Factorization, ds: DivisorSet) -> Iterator[SeparationWitness]:
-    """All injective separation witnesses, in deterministic order.
+    """All separation witnesses, in deterministic order.
 
-    Divisors are processed ascending, each trying its eligible primes
-    smallest-first; exhaustive backtracking, so the first yielded witness
-    assigns each divisor the smallest prime still available.
+    The eligible-prime lists are disjoint, so the witnesses are their
+    product: first divisor slowest, smallest prime first.  With |D| = k
+    each list holds one prime, so there is at most one witness.
     """
     divisors = ds.divisors
-    eligible = _eligible_primes(f, divisors)
-
-    def backtrack(i: int, used: set[int], acc: list[tuple[int, int]]):
-        if i == len(divisors):
-            yield SeparationWitness(tuple(acc))
-            return
-        for p in eligible[i]:
-            if p not in used:
-                acc.append((divisors[i], p))
-                used.add(p)
-                yield from backtrack(i + 1, used, acc)
-                used.discard(p)
-                acc.pop()
-
-    yield from backtrack(0, set(), [])
+    for primes in product(*_eligible_primes(f, divisors)):
+        yield SeparationWitness(tuple(zip(divisors, primes)))
 
 
 def separation_witness(f: Factorization, ds: DivisorSet) -> SeparationWitness | None:
@@ -129,12 +118,11 @@ def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tupl
 def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     """All t-element divisor sets of n admitting a separation witness, ascending."""
     f = factorize(n)
-    out = []
-    for combo in divisor_subsets(n, t, t):
-        ds = DivisorSet(n, combo)
-        if separation_witness(f, ds) is not None:
-            out.append(ds)
-    return out
+    return [
+        DivisorSet(n, combo)
+        for combo in divisor_subsets(n, t, t)
+        if all(_eligible_primes(f, combo))
+    ]
 
 
 def enumerate_connected(n: int, t: int | None = None) -> list[DivisorSet]:

@@ -162,8 +162,6 @@ def cmd_pst(args) -> int:
 
 
 def cmd_family(args) -> int:
-    if args.name != "saxena":
-        raise IcgError(f"unknown family {args.name!r}")
     n, ds, predicted = saxena_family(args.primes)
     obj = {"n": n, "divisors": list(ds.divisors), "predicted_diameter": predicted}
     _emit(obj, f"n={n} D={','.join(map(str, ds.divisors))} predicted {predicted}", args.format)

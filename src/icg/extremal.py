@@ -21,6 +21,7 @@ from enum import Enum
 
 from .canonical import SeparationWitness, iter_witnesses, separation_witness
 from .core import DivisorSet, make_divisor_set, make_instance
+from .distance import DivisorClasses
 from .errors import DomainError
 from .numtheory import (
     CrtSystem,
@@ -189,7 +190,11 @@ def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) 
 def extremal_check_t_eq_k(
     f: Factorization, ds: DivisorSet, w: SeparationWitness
 ) -> ExtremalVerdict:
-    """Does a full-cardinality separated set attain diameter r(n)?"""
+    """Does a full-cardinality separated set attain diameter r(n)?
+
+    With |D| = k the k eligible-prime lists are disjoint and nonempty, so
+    each holds exactly one prime: ``w`` is the set's only witness.
+    """
     if len(ds.divisors) != f.k:
         raise DomainError(
             f"extremal_check_t_eq_k requires |D| = k = {f.k}, got {len(ds.divisors)}"
@@ -276,9 +281,9 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     Split n = m * n' with n' the product of the untouched prime powers.
     The set attains r(n) when n' = 2 (so m is odd) and the divisors attain
     r(m) through the square-divisibility condition; this is sufficient, not
-    necessary.  It attains 2|D|+1 exactly when n' is even and some witness
-    over m has every witness prime square-dividing all non-dedicated
-    divisors.
+    necessary.  It attains 2|D|+1 exactly when n' is even, |D| = k(m) and
+    the set's one witness over m has every witness prime square-dividing
+    all non-dedicated divisors.
     """
     untouched = _untouched(f, ds)
     if not untouched:
@@ -295,14 +300,11 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     else:
         fm = factorize(m)
         # Every divisor divides m, as it divides n and is coprime to n'.
-        if len(ds.divisors) == fm.k and m not in ds.divisors:
-            ds_m = DivisorSet(m, ds.divisors)
-            square_pair = any(
-                _square_pair_condition(fm, ds_m, w) for w in iter_witnesses(fm, ds_m)
-            )
-            attains_r = n_prime == 2 and any(
-                _condition_i_holds(fm, ds_m, w) for w in iter_witnesses(fm, ds_m)
-            )
+        ds_m = DivisorSet(m, ds.divisors)
+        w = separation_witness(fm, ds_m) if len(ds.divisors) == fm.k else None
+        if w is not None:
+            square_pair = _square_pair_condition(fm, ds_m, w)
+            attains_r = n_prime == 2 and _condition_i_holds(fm, ds_m, w)
     even = n_prime % 2 == 0
     return UntouchedPrimeVerdict(
         attains_r,
@@ -355,6 +357,8 @@ def worst_vertex(
     Variant I:  l0 = -1 (mod p) for exponent-1 primes, l0 = p (mod p^a)
     otherwise.  Variant II replaces the congruence at the unique odd prime
     exactly dividing the divisor dedicated to 2 with l0 = p^2 (mod p^a).
+    Each needs |D| = k and ``extremal_check_t_eq_k`` matching its own
+    condition of the r(n) theorem: i for variant I, ii for variant II.
     """
     if variant not in ("I", "II"):
         raise DomainError(f"variant must be 'I' or 'II', got {variant!r}")
@@ -369,6 +373,11 @@ def worst_vertex(
                 f"found {sharp}"
             )
         special = sharp[0]
+    condition = f"thm:r(n) {variant.lower()}"
+    if len(ds.divisors) != f.k or extremal_check_t_eq_k(f, ds, w).matched_condition != condition:
+        raise DomainError(
+            f"variant {variant} requires |D| = k = {f.k} and a set matching {condition}"
+        )
     congruences = []
     for p, a in f.factors:
         if p == special:
@@ -435,13 +444,17 @@ def lift_diameter_small(m: int, ds: DivisorSet, base_diam: int, n_prime: int) ->
         return 2 if n_prime % 2 == 1 else 3
     if m % 2 == 1:
         return 3 if n_prime % 2 == 0 else 2
-    # m even, n' odd: constructive two-walk check
+    # m even, n' odd: units permute the two-walk endpoints, so check
+    # that every divisor class but the top one (vertex 0) holds a sum of
+    # two symbols.
     g = make_instance(m, ds.divisors)
-    sym = set(g.symbol_set)
-    for l in range(1, m):
-        if not any((l - s) % m in sym for s in sym):
-            return 3
-    return 2
+    classes = DivisorClasses(g.factorization)
+    sums = 0
+    for d in g.divisor_set.divisors:
+        for e in g.divisor_set.divisors:
+            sums |= classes.step(e)[classes.index[d]]
+    top = 1 << (len(classes.divisors) - 1)
+    return 2 if sums | top == 2 * top - 1 else 3
 
 
 def saxena_family(primes) -> tuple[int, DivisorSet, int]:

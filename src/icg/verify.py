@@ -21,6 +21,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,19 +147,13 @@ def verify_range(
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
     records: list[VerificationRecord] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(verify_order, orders):
-                records.extend(chunk)
-                if fail_fast and any(r.status is Status.MISMATCH for r in chunk):
-                    # map has submitted every order; drop those not yet started.
-                    pool.shutdown(cancel_futures=True)
-                    break
-    else:
-        for n in orders:
-            chunk = verify_order(n)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for chunk in (map if pool is None else pool.map)(verify_order, orders):
             records.extend(chunk)
             if fail_fast and any(r.status is Status.MISMATCH for r in chunk):
+                if pool is not None:
+                    # map has submitted every order; drop those not yet started.
+                    pool.shutdown(cancel_futures=True)
                 break
     return RangeReport(n_lo, n_hi, tuple(records))
 

@@ -2,7 +2,7 @@
 
 The separation property is re-derived by a brute-force definition check
 (try every injective divisor-to-prime assignment) and compared against
-the production backtracking search.
+the production witnesses, the product of the eligible-prime lists.
 """
 
 import itertools
@@ -40,6 +40,20 @@ def brute_force_separated(n, divisors):
         if ok:
             return True
     return False
+
+
+def brute_force_witnesses(n, divisors):
+    """Every valid injective assignment, permutations of n's primes in
+    lexicographic order."""
+    primes = factorize(n).primes
+    return [
+        tuple(zip(divisors, assign))
+        for assign in itertools.permutations(primes, len(divisors))
+        if all(
+            d % p != 0 and all(e % p == 0 for e in divisors if e != d)
+            for d, p in zip(divisors, assign)
+        )
+    ]
 
 
 class TestSeparationWitness:
@@ -92,6 +106,17 @@ class TestSeparationWitness:
             for d, p in w.assignment:
                 assert d % p != 0
                 assert all(e % p == 0 for e in ds.divisors if e != d)
+
+
+    def test_all_witnesses_match_brute_force_in_order(self):
+        # Every divisor subset with at most k elements, n <= 300.
+        for n in range(2, 301):
+            f = factorize(n)
+            for combo in divisor_subsets(n, 1, f.k):
+                got = [w.assignment for w in iter_witnesses(f, DivisorSet(n, combo))]
+                assert got == brute_force_witnesses(n, combo), (n, combo)
+                if len(combo) == f.k:
+                    assert len(got) <= 1, (n, combo)
 
 
 class TestMakeSeparated:

@@ -127,6 +127,18 @@ class TestWorstVertex:
         code, _, err = run(capsys, "worst-vertex", "12", "1,2")
         assert code == 2
 
+    def test_variant_two_on_condition_i_set_exits_2(self, capsys):
+        # Variant II would print 30, at distance 4 in a graph of diameter 5.
+        code, out, err = run(capsys, "worst-vertex", "540", "45,20,108", "--variant", "II")
+        assert code == 2
+        assert out == "" and "error:" in err
+
+    def test_variant_one_on_condition_ii_set_exits_2(self, capsys):
+        # Variant I would print 4755, at distance 3 in a graph of diameter 5.
+        code, out, err = run(capsys, "worst-vertex", "6750", "18,75,250")
+        assert code == 2
+        assert out == "" and "error:" in err
+
 
 class TestPst:
     def test_admissible(self, capsys):
@@ -152,6 +164,13 @@ class TestFamily:
     def test_bad_prime_exits_2(self, capsys):
         code, _, err = run(capsys, "family", "saxena", "4")
         assert code == 2
+
+    def test_unknown_family_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "foo", "3,5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "foo" in err
 
 
 class TestEnvDefaults:

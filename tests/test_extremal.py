@@ -15,7 +15,7 @@ import pytest
 
 from icg.canonical import enumerate_separated, make_separated, separation_witness
 from icg.core import DivisorSet, make_divisor_set, make_instance
-from icg.distance import DivisorClasses, class_diameter, diameter, distance
+from icg.distance import DivisorClasses, class_diameter, diameter, distance, levels_from_zero
 from icg.errors import DomainError
 from icg.extremal import (
     CaseLabel,
@@ -338,11 +338,47 @@ class TestWorstVertex:
     def test_variant_two_requires_prime_two_pairing(self):
         f = factorize(540)
         ds, w = make_separated(540, [45, 20, 108])
-        # divisor dedicated to the prime 2 is 45 = 3^2 * 5; both odd primes
-        # divide it, 5 exactly once, 3 twice, so exactly one sharp prime
-        # exists and the construction goes through; compare distances.
-        l0 = worst_vertex(f, ds, w, variant="II")
-        assert 0 <= l0 < 540
+        # The divisor dedicated to the prime 2 is 45 = 3^2 * 5, so 5 is the
+        # one sharp prime and the CRT system is solvable, but the set meets
+        # condition i, not ii: variant II's vertex 30 lies at distance 4 in
+        # a graph of diameter 5, so the variant is refused.
+        assert extremal_check_t_eq_k(f, ds, w).matched_condition == "thm:r(n) i"
+        assert distance(make_instance(540, [45, 20, 108]), 0, 30) == 4
+        with pytest.raises(DomainError):
+            worst_vertex(f, ds, w, variant="II")
+
+    def test_variant_one_requires_condition_i(self):
+        f = factorize(6750)
+        ds, w = make_separated(6750, [18, 75, 250])
+        # Condition ii only: variant I's vertex 4755 lies at distance 3.
+        assert extremal_check_t_eq_k(f, ds, w).matched_condition == "thm:r(n) ii"
+        assert distance(make_instance(6750, [18, 75, 250]), 0, 4755) == 3
+        with pytest.raises(DomainError):
+            worst_vertex(f, ds, w, variant="I")
+
+    def test_requires_full_cardinality(self):
+        f = factorize(540)
+        ds, w = make_separated(540, [4, 27])
+        with pytest.raises(DomainError):
+            worst_vertex(f, ds, w, variant="I")
+
+    def test_vertex_at_distance_r_for_every_matching_set(self):
+        # Every full-cardinality separated set up to 400 whose check
+        # matches a condition: that condition's variant reaches r(n).
+        for n in range(2, 400):
+            f = factorize(n)
+            classes = DivisorClasses(f)
+            for ds in enumerate_separated(n, f.k):
+                w = separation_witness(f, ds)
+                matched = extremal_check_t_eq_k(f, ds, w).matched_condition
+                if matched is None:
+                    continue
+                variant = "II" if matched.endswith("ii") else "I"
+                l0 = worst_vertex(f, ds, w, variant)
+                levels = levels_from_zero(classes, ds.divisors)
+                dist = next(d for d, m in enumerate(levels)
+                            if m >> classes.index[math.gcd(l0, n)] & 1)
+                assert dist == r_of(f), (n, ds.divisors, variant)
 
     def test_bad_variant(self):
         f = factorize(540)
@@ -392,6 +428,23 @@ class TestLift:
         assert diameter(make_instance(30, [1])).value == 3
         assert lift_diameter_small(4, make_divisor_set(4, [1, 2]), 2, 3) == 2
         assert diameter(make_instance(12, [1, 2])).value == 2
+
+    def test_small_even_base_matches_bfs(self):
+        # Every connected diameter-2 set with |D| <= 3 over an even m < 200,
+        # lifted by the smallest odd prime n' coprime to m.
+        checked = 0
+        for m in range(2, 200, 2):
+            n_prime = next(q for q in (3, 5, 7) if m % q)
+            base = DivisorClasses(factorize(m))
+            lifted = DivisorClasses(factorize(m * n_prime))
+            for size in (1, 2, 3):
+                for combo in combinations(proper_divisors(m), size):
+                    if math.gcd(*combo) != 1 or class_diameter(base, combo) != 2:
+                        continue
+                    got = lift_diameter_small(m, DivisorSet(m, combo), 2, n_prime)
+                    assert got == class_diameter(lifted, combo), (m, combo, n_prime)
+                    checked += 1
+        assert checked == 1745
 
     def test_guards(self):
         ds = make_divisor_set(12, [3, 4])
