@@ -2,13 +2,14 @@
 
 A connected divisor set D = {d_1, ..., d_t} is in canonical (separated)
 form when every divisor d_s has a dedicated prime p of n with p not
-dividing d_s but dividing every other member of D.  No other divisor can
-take that prime, so the eligible-prime lists are disjoint and a set is
-separated exactly when none is empty.  Maximal-diameter graphs can always
-be reduced to such sets, so enumeration over them drives the whole
-verification harness.  Every enumeration of divisor subsets goes through
-``divisor_subsets``, the one place that refuses a request for more than
-``MAX_SUBSETS`` sets.
+dividing d_s but dividing every other member of D.  The primes eligible
+for d are those dividing the leave-one-out gcd(D - {d}) but not gcd(D).
+No other divisor can take such a prime, so the eligible-prime lists are
+disjoint and a set is separated exactly when none is empty.
+Maximal-diameter graphs can always be reduced to such sets, so
+enumeration over them drives the whole verification harness.  Every
+enumeration of divisor subsets goes through ``divisor_subsets``, the one
+place that refuses a request for more than ``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 
 from .core import DivisorSet, make_divisor_set
 from .errors import DomainError, ResourceLimitError
-from .numtheory import Factorization, factorize, gcd_of, proper_divisors
+from .numtheory import Factorization, factorize, proper_divisors
 
 #: Refuse to enumerate more divisor subsets than this for one order; the
 #: full power set passes exactly when n has at most 20 proper divisors.
@@ -51,15 +52,19 @@ class SeparationWitness:
         return {"assignment": [{"divisor": d, "prime": p} for d, p in self.assignment]}
 
 
-def _eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[int]]:
-    """For each divisor, the primes of n not dividing it but dividing all others."""
-    out = []
-    for d in divisors:
-        others = [e for e in divisors if e != d]
-        out.append(
-            [p for p in f.primes if d % p != 0 and all(e % p == 0 for e in others)]
-        )
-    return out
+def _leave_one_out_gcds(divisors: tuple[int, ...]) -> list[int]:
+    """gcd(D - {d}) for each d in D, in order; the gcd of no divisors is 0."""
+    return [math.gcd(*divisors[:i], *divisors[i + 1 :]) for i in range(len(divisors))]
+
+
+def eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[int]]:
+    """For each divisor d, the primes of n dividing gcd(D - {d}) but not
+    gcd(D): those not dividing d but dividing every other divisor."""
+    g = math.gcd(*divisors)
+    return [
+        [p for p in f.primes if loo % p == 0 and g % p != 0]
+        for loo in _leave_one_out_gcds(divisors)
+    ]
 
 
 def iter_witnesses(f: Factorization, ds: DivisorSet) -> Iterator[SeparationWitness]:
@@ -70,7 +75,7 @@ def iter_witnesses(f: Factorization, ds: DivisorSet) -> Iterator[SeparationWitne
     each list holds one prime, so there is at most one witness.
     """
     divisors = ds.divisors
-    for primes in product(*_eligible_primes(f, divisors)):
+    for primes in product(*eligible_primes(f, divisors)):
         yield SeparationWitness(tuple(zip(divisors, primes)))
 
 
@@ -86,13 +91,7 @@ def minimal_connected(ds: DivisorSet) -> bool:
     set inclusion); gcd of the empty set is 0, counted as > 1.
     """
     divisors = ds.divisors
-    if gcd_of(divisors) != 1:
-        return False
-    if len(divisors) == 1:
-        return True
-    return all(
-        gcd_of(divisors[:i] + divisors[i + 1 :]) != 1 for i in range(len(divisors))
-    )
+    return math.gcd(*divisors) == 1 and 1 not in _leave_one_out_gcds(divisors)
 
 
 def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -121,7 +120,7 @@ def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     return [
         DivisorSet(n, combo)
         for combo in divisor_subsets(n, t, t)
-        if all(_eligible_primes(f, combo))
+        if all(eligible_primes(f, combo))
     ]
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .canonical import SeparationWitness, iter_witnesses, separation_witness
+from .canonical import SeparationWitness, eligible_primes, separation_witness
 from .core import DivisorSet, make_divisor_set, make_instance
 from .distance import DivisorClasses
 from .errors import DomainError
@@ -206,31 +206,6 @@ def extremal_check_t_eq_k(
     return ExtremalVerdict(False)
 
 
-def _injection_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
-    """Cases with t < k and the r(n)/r(n)+1 bound: all witness primes odd,
-    the condition-i square-divisibility over witness primes, and each
-    non-witness prime missing exactly one divisor, the pairing of
-    non-witness primes to those divisors being injective between primes of
-    exponent 1 on both sides."""
-    witness_primes = set(w.primes)
-    if 2 in witness_primes or not _condition_i_holds(f, ds, w):
-        return False
-    targets = []
-    for p, a in f.factors:
-        if p in witness_primes:
-            continue
-        if a != 1:
-            return False
-        missing = [d for d in ds.divisors if d % p != 0]
-        if len(missing) != 1:
-            return False
-        q = w.prime_for(missing[0])
-        if f.n % (q * q) == 0:
-            return False
-        targets.append(missing[0])
-    return len(targets) == len(set(targets))
-
-
 def _square_pair_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
     """Cases with the 2t/2t+1 bound: each witness prime square-divides every
     divisor except its dedicated one."""
@@ -243,14 +218,29 @@ def extremal_check_t_lt_k(
     """Which of the four t < k cases applies, and is its bound attained?
 
     Standing hypothesis: every prime of n divides at least one divisor
-    (otherwise the caller must take the untouched-prime route).  Existence
-    conditions quantify over the choice of dedicated primes, so ``w`` is
-    accepted but every valid witness is tried, not only ``w``.
+    (otherwise the caller must take the untouched-prime route).  The
+    conditions ask for some choice of dedicated primes.  The eligible-prime
+    lists are disjoint and every test concerns one divisor and a prime of
+    its own list, so such a choice exists exactly when each divisor has a
+    passing prime of its own; the verdict is decided per divisor and ``w``
+    is not read.
+
+    - Injection cases (s(n) >= 2): every prime of n is eligible for some
+      divisor, each list is one prime or two primes of exponent 1, and each
+      divisor has an odd eligible p with p**2 not dividing n or
+      square-dividing every other divisor.
+    - Square-pair cases (s(n) < 2): each divisor has an odd eligible p
+      square-dividing every other divisor.
     """
     if len(ds.divisors) >= f.k:
         raise DomainError(f"extremal_check_t_lt_k requires |D| < k = {f.k}")
     n = f.n
     untouched = _untouched(f, ds)
+    eligible = list(zip(ds.divisors, eligible_primes(f, ds.divisors)))
+
+    def each_has_odd_prime(test) -> bool:
+        return all(any(p != 2 and test(d, p) for p in ps) for d, ps in eligible)
+
     if s_of(f) >= 2:
         # The injection cases need every prime of n to touch some divisor.
         if untouched:
@@ -258,7 +248,14 @@ def extremal_check_t_lt_k(
                 f"primes {[p for p, _ in untouched]} divide no divisor; use check_untouched_prime"
             )
         case = "thm:t<k ii" if n % 4 == 2 else "thm:t<k i"
-        holds = any(_injection_condition(f, ds, cand) for cand in iter_witnesses(f, ds))
+        holds = (
+            sum(len(ps) for _, ps in eligible) == f.k
+            and all(
+                len(ps) == 1 or (len(ps) == 2 and all(n % (p * p) for p in ps))
+                for _, ps in eligible
+            )
+            and each_has_odd_prime(lambda d, p: n % (p * p) != 0 or _squares_off(ds, p, (d,)))
+        )
     else:
         case = "thm:t<k iv" if n % 2 == 0 else "thm:t<k iii"
         if untouched:
@@ -268,10 +265,7 @@ def extremal_check_t_lt_k(
             holds = v.attains_two_t_plus_one if n % 2 == 0 else v.attains_two_t
         else:
             # Case iv (even n) needs odd witness primes; for odd n, 2 is never one.
-            holds = any(
-                2 not in cand.primes and _square_pair_condition(f, ds, cand)
-                for cand in iter_witnesses(f, ds)
-            )
+            holds = each_has_odd_prime(lambda d, p: _squares_off(ds, p, (d,)))
     return ExtremalVerdict(True, case) if holds else ExtremalVerdict(False)
 
 
@@ -288,6 +282,7 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     untouched = _untouched(f, ds)
     if not untouched:
         raise DomainError("every prime of n divides some divisor; nothing untouched")
+    touched = tuple(pa for pa in f.factors if pa not in untouched)
     n_prime = math.prod(p**a for p, a in untouched)
     m = f.n // n_prime
     square_pair = attains_r = False
@@ -298,7 +293,7 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
         # the cardinality formula does not exist.
         square_pair = f.k >= 2
     else:
-        fm = factorize(m)
+        fm = Factorization(m, touched)
         # Every divisor divides m, as it divides n and is coprime to n'.
         ds_m = DivisorSet(m, ds.divisors)
         w = separation_witness(fm, ds_m) if len(ds.divisors) == fm.k else None
@@ -397,8 +392,8 @@ def two_three_summands(n: int, d: int, l: int) -> SummandRepresentation:
     no solution (parity: both y_i must then be odd).  Deterministic search:
     smallest y1, then the unique matching y2 residue.
     """
-    if n % d != 0:
-        raise DomainError(f"{d} does not divide {n}")
+    if not 0 < d < n or n % d != 0:
+        raise DomainError(f"{d} is not a proper divisor of {n}")
     if l % d != 0:
         raise DomainError(f"{d} does not divide target {l}")
     if not 0 <= l < n:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -29,11 +30,12 @@ class Factorization:
         """Number of distinct prime factors."""
         return len(self.factors)
 
-    @property
+    # Cached in the instance __dict__; == and hash still read only the fields.
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(a for _, a in self.factors)
 

@@ -36,7 +36,6 @@ from .numtheory import factorize, proper_divisors
 class Status(str, Enum):
     MATCH = "MATCH"
     MISMATCH = "MISMATCH"
-    NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
     for t in range(1, f.k + 1):
         predicted = predict_max_for_t(f, t)
         observed, witness = best[t]
-        status = (
-            Status.MATCH
-            if predicted.applicable and predicted.value == observed
-            else Status.MISMATCH
-        )
+        status = Status.MATCH if predicted.value == observed else Status.MISMATCH
         records.append(VerificationRecord(n, t, predicted, observed, witness, status))
     predicted = predict_overall_max(f)
     # The first strict maximum over sizes 1..k, in enumeration order.

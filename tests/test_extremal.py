@@ -13,12 +13,19 @@ from itertools import combinations
 
 import pytest
 
-from icg.canonical import enumerate_separated, make_separated, separation_witness
+from icg.canonical import (
+    divisor_subsets,
+    enumerate_separated,
+    iter_witnesses,
+    make_separated,
+    separation_witness,
+)
 from icg.core import DivisorSet, make_divisor_set, make_instance
 from icg.distance import DivisorClasses, class_diameter, diameter, distance, levels_from_zero
 from icg.errors import DomainError
 from icg.extremal import (
     CaseLabel,
+    ExtremalVerdict,
     check_untouched_prime,
     diameter_two_cases,
     extremal_check_t_eq_k,
@@ -141,6 +148,58 @@ class TestFullCardinality:
                     assert dv == want or dv == r_of(f), (n, combo, dv)
 
 
+def _injection_by_witness(f, ds, w):
+    """The injection condition for one witness, in its definitional form:
+    odd witness primes, each of exponent > 1 square-dividing every divisor
+    but its dedicated one, and each non-witness prime of exponent 1 missing
+    exactly one divisor, whose witness prime has exponent 1, injectively."""
+    exponent = dict(f.factors)
+    dedicated = dict(w.assignment)
+    if 2 in dedicated.values():
+        return False
+    for d, p in w.assignment:
+        if exponent[p] > 1 and any(e % (p * p) for e in ds.divisors if e != d):
+            return False
+    targets = []
+    for p, a in f.factors:
+        if p in dedicated.values():
+            continue
+        missing = [d for d in ds.divisors if d % p != 0]
+        if a != 1 or len(missing) != 1 or exponent[dedicated[missing[0]]] != 1:
+            return False
+        targets.append(missing[0])
+    return len(targets) == len(set(targets))
+
+
+def _t_lt_k_by_witness_search(f, ds):
+    """extremal_check_t_lt_k as a search over every separation witness,
+    raising DomainError where the check must."""
+    if len(ds.divisors) >= f.k:
+        raise DomainError("|D| >= k")
+    n = f.n
+    witnesses = list(iter_witnesses(f, ds))
+    untouched = any(all(d % p for d in ds.divisors) for p in f.primes)
+    if s_of(f) >= 2:
+        if untouched:
+            raise DomainError("untouched prime in an injection case")
+        case = "thm:t<k ii" if n % 4 == 2 else "thm:t<k i"
+        holds = any(_injection_by_witness(f, ds, w) for w in witnesses)
+    else:
+        case = "thm:t<k iv" if n % 2 == 0 else "thm:t<k iii"
+        if untouched:
+            v = check_untouched_prime(f, ds)
+            holds = v.attains_two_t_plus_one if n % 2 == 0 else v.attains_two_t
+        else:
+            holds = any(
+                all(
+                    p != 2 and all(e % (p * p) == 0 for e in ds.divisors if e != d)
+                    for d, p in w.assignment
+                )
+                for w in witnesses
+            )
+    return ExtremalVerdict(True, case) if holds else ExtremalVerdict(False)
+
+
 class TestPartialCardinality:
     def test_worked_example(self):
         f = factorize(450)
@@ -185,6 +244,26 @@ class TestPartialCardinality:
                         hits += 1
                         assert diameter(make_instance(n, combo)).value == bound, (n, combo)
         assert hits > 20  # the sweep actually exercised positive verdicts
+
+    def test_per_divisor_verdict_matches_witness_search(self):
+        # Every divisor subset with |D| < k and n < 400, separated or not:
+        # the per-divisor decision agrees with trying every witness, and
+        # raises DomainError exactly where the search does.
+        positives = 0
+        for n in range(2, 400):
+            f = factorize(n)
+            for combo in divisor_subsets(n, 1, f.k - 1):
+                ds = DivisorSet(n, combo)
+                w = separation_witness(f, ds)  # not read; None without a witness
+                try:
+                    want = _t_lt_k_by_witness_search(f, ds)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        extremal_check_t_lt_k(f, ds, w)
+                    continue
+                assert extremal_check_t_lt_k(f, ds, w) == want, (n, combo)
+                positives += want.attains
+        assert positives > 100
 
     def test_condition_is_not_necessary(self):
         # Known sets reaching the 2t+1 bound although the square-pair
@@ -408,6 +487,11 @@ class TestTwoThreeSummands:
             two_three_summands(12, 5, 10)
         with pytest.raises(DomainError):
             two_three_summands(12, 3, 4)
+
+    def test_rejects_d_outside_proper_divisors(self):
+        for d in (0, -3, 12):
+            with pytest.raises(DomainError, match="not a proper divisor"):
+                two_three_summands(12, d, 0)
 
 
 class TestLift:
