@@ -38,16 +38,6 @@ class SeparationWitness:
 
     assignment: tuple[tuple[int, int], ...]  # ((divisor, prime), ...) divisor-ascending
 
-    def prime_for(self, d: int) -> int:
-        for dv, p in self.assignment:
-            if dv == d:
-                return p
-        raise KeyError(d)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for _, p in self.assignment)
-
     def to_json_obj(self) -> dict:
         return {"assignment": [{"divisor": d, "prime": p} for d, p in self.assignment]}
 

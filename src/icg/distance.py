@@ -40,9 +40,6 @@ class DistanceProfile:
     n: int
     dist: tuple[int | None, ...]
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "dist": list(self.dist)}
-
 
 @dataclass(frozen=True)
 class DiameterResult:

@@ -206,12 +206,6 @@ def extremal_check_t_eq_k(
     return ExtremalVerdict(False)
 
 
-def _square_pair_condition(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
-    """Cases with the 2t/2t+1 bound: each witness prime square-divides every
-    divisor except its dedicated one."""
-    return all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
-
-
 def extremal_check_t_lt_k(
     f: Factorization, ds: DivisorSet, w: SeparationWitness
 ) -> ExtremalVerdict:
@@ -294,12 +288,12 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
         square_pair = f.k >= 2
     else:
         fm = Factorization(m, touched)
-        # Every divisor divides m, as it divides n and is coprime to n'.
-        ds_m = DivisorSet(m, ds.divisors)
-        w = separation_witness(fm, ds_m) if len(ds.divisors) == fm.k else None
+        # Every divisor divides m, as it divides n and is coprime to n', so
+        # the checks over m read ds as it is.
+        w = separation_witness(fm, ds) if len(ds.divisors) == fm.k else None
         if w is not None:
-            square_pair = _square_pair_condition(fm, ds_m, w)
-            attains_r = n_prime == 2 and _condition_i_holds(fm, ds_m, w)
+            square_pair = all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
+            attains_r = n_prime == 2 and _condition_i_holds(fm, ds, w)
     even = n_prime % 2 == 0
     return UntouchedPrimeVerdict(
         attains_r,
@@ -357,22 +351,13 @@ def worst_vertex(
     """
     if variant not in ("I", "II"):
         raise DomainError(f"variant must be 'I' or 'II', got {variant!r}")
-    special: int | None = None
-    if variant == "II":
-        d1, sharp = _sharp_primes(f, w)
-        if d1 is None:
-            raise DomainError("variant II requires a divisor dedicated to the prime 2")
-        if len(sharp) != 1:
-            raise DomainError(
-                f"variant II requires exactly one odd prime exactly dividing {d1}, "
-                f"found {sharp}"
-            )
-        special = sharp[0]
     condition = f"thm:r(n) {variant.lower()}"
     if len(ds.divisors) != f.k or extremal_check_t_eq_k(f, ds, w).matched_condition != condition:
         raise DomainError(
             f"variant {variant} requires |D| = k = {f.k} and a set matching {condition}"
         )
+    # Condition ii gives 2 a dedicated divisor exactly divided by one odd prime.
+    special = _sharp_primes(f, w)[1][0] if variant == "II" else None
     congruences = []
     for p, a in f.factors:
         if p == special:

@@ -1,9 +1,10 @@
-"""Exact integer number theory: factorization, valuations, Euler phi, CRT,
-and the diameter statistics r(n) and s(n).
+"""Exact integer number theory: factorization, proper divisors, valuations,
+Euler phi, CRT, and the diameter statistics r(n) and s(n).
 
 All functions are pure and operate on exact Python integers.  Factorization
-uses deterministic trial division, which is plenty below ``FACTOR_BOUND``
-(2**40) and keeps results reproducible bit-for-bit.
+and the proper-divisor listing use deterministic trial division, which is
+plenty below ``FACTOR_BOUND`` (2**40) and keeps results reproducible
+bit-for-bit; both refuse larger n.
 """
 
 from __future__ import annotations
@@ -92,23 +93,10 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def crt_solve(system: CrtSystem) -> int:
     """Unique x in [0, prod m_i) satisfying every congruence of the system.
 
-    Solved by iterative pairwise combination with the extended gcd.
+    Solved by iterative pairwise combination with modular inverses.
     Raises DomainError if the moduli are not pairwise coprime.
     """
     if not system.congruences:
@@ -120,11 +108,10 @@ def crt_solve(system: CrtSystem) -> int:
             raise DomainError(f"residue {r} out of range for modulus {m}")
     x, mod = system.congruences[0]
     for r, m in system.congruences[1:]:
-        g, inv, _ = extended_gcd(mod, m)
-        if g != 1:
+        if math.gcd(mod, m) != 1:
             raise DomainError(f"moduli {mod} and {m} are not coprime")
         # x' = x (mod mod), x' = r (mod m)
-        x = (x + (r - x) * inv % m * mod) % (mod * m)
+        x = (x + (r - x) * pow(mod, -1, m) % m * mod) % (mod * m)
         mod *= m
     return x % mod
 
@@ -143,6 +130,8 @@ def proper_divisors(n: int) -> tuple[int, ...]:
     """All divisors d of n with 1 <= d < n, ascending."""
     if n < 2:
         raise DomainError(f"proper_divisors requires n >= 2, got {n}")
+    if n > FACTOR_BOUND:
+        raise DomainError(f"proper_divisors bound exceeded: {n} > {FACTOR_BOUND}")
     small = []
     large = []
     d = 1
@@ -154,8 +143,3 @@ def proper_divisors(n: int) -> tuple[int, ...]:
         d += 1
     divisors = small + large[::-1]
     return tuple(divisors[:-1])  # drop n itself
-
-
-def gcd_of(values) -> int:
-    """gcd over an iterable; gcd of the empty collection is 0 by convention."""
-    return math.gcd(*values) if values else 0

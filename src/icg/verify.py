@@ -141,8 +141,10 @@ def verify_range(
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
+    # The pool may fork all its workers at once: start no more than orders.
+    workers = min(jobs, len(orders))
     records: list[VerificationRecord] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for chunk in (map if pool is None else pool.map)(verify_order, orders):
             records.extend(chunk)
             if fail_fast and any(r.status is Status.MISMATCH for r in chunk):

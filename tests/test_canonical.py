@@ -62,9 +62,7 @@ class TestSeparationWitness:
         ds = make_divisor_set(540, [45, 20, 108])
         w = separation_witness(f, ds)
         assert w is not None
-        assert w.prime_for(45) == 2
-        assert w.prime_for(20) == 3
-        assert w.prime_for(108) == 5
+        assert dict(w.assignment) == {45: 2, 20: 3, 108: 5}
 
     def test_witness_satisfies_definition(self):
         for n, dset in [(540, [45, 20, 108]), (30, [3, 10]), (210, [15, 14])]:
@@ -75,7 +73,8 @@ class TestSeparationWitness:
             for d, p in w.assignment:
                 assert d % p != 0
                 assert all(e % p == 0 for e in ds.divisors if e != d)
-            assert len(set(w.primes)) == len(w.primes)
+            primes = [p for _, p in w.assignment]
+            assert len(set(primes)) == len(primes)
 
     def test_agrees_with_brute_force(self):
         for n in range(2, 120):
@@ -123,7 +122,7 @@ class TestMakeSeparated:
     def test_accepts_separated(self):
         ds, w = make_separated(540, [45, 20, 108])
         assert ds.divisors == (20, 45, 108)
-        assert set(w.primes) == {2, 3, 5}
+        assert {p for _, p in w.assignment} == {2, 3, 5}
 
     def test_rejects_unseparated(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,9 @@
 """Tests for the command-line interface, driven through main(argv)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,15 @@ class TestEnumerate:
         rows = [json.loads(line) for line in out.splitlines()]
         sizes = {len(r["divisors"]) for r in rows}
         assert 1 in sizes and 2 in sizes
+
+    @pytest.mark.parametrize(
+        "argv", [["100000000000000"], ["1099511627791", "--t", "1"]]
+    )
+    def test_order_above_factor_bound_exits_2(self, capsys, argv):
+        # Refused before any trial division, like predict and diameter.
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 2
+        assert out == "" and "bound exceeded" in err
 
 
 class TestWorstVertex:
@@ -239,3 +251,29 @@ class TestGlobalFlags:
             main(["--oracle-bound=10", "predict", "30"])
         assert exc.value.code == 2
         assert "--oracle-bound" in capsys.readouterr().err
+
+
+class TestReadmeExamples:
+    # README lines whose trailing comment is the command's exact output;
+    # the other comments describe the command.
+    DOCUMENTED_OUTPUT = {
+        "diameter 12 3,4",
+        "worst-vertex 540 45,20,108",
+        "worst-vertex 6750 75,250,18 --variant II",
+        "family saxena 3,5",
+    }
+
+    def test_command_line_block(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        checked = set()
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            assert argv[0] == "icg", line
+            code, out, _ = run(capsys, *argv[1:])
+            assert code == 0, line
+            if " ".join(argv[1:]) in self.DOCUMENTED_OUTPUT:
+                assert out == comment.strip() + "\n", line
+                checked.add(" ".join(argv[1:]))
+        assert checked == self.DOCUMENTED_OUTPUT

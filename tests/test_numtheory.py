@@ -6,6 +6,7 @@ inline, and CRT solutions are verified by direct substitution.
 """
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -16,9 +17,7 @@ from icg.numtheory import (
     Factorization,
     crt_solve,
     euler_phi,
-    extended_gcd,
     factorize,
-    gcd_of,
     proper_divisors,
     r_of,
     s_of,
@@ -106,17 +105,6 @@ class TestEulerPhi:
             assert euler_phi(n) == naive_phi(n)
 
 
-class TestExtendedGcd:
-    @pytest.mark.parametrize(
-        "a,b",
-        [(12, 18), (35, 64), (1, 1), (0, 5), (7, 0), (240, 46), (10 ** 9, 7)],
-    )
-    def test_bezout_identity(self, a, b):
-        g, x, y = extended_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-
 class TestCrtSolve:
     def test_worked_example(self):
         assert crt_solve(CrtSystem(((4, 5), (3, 27), (2, 4)))) == 354
@@ -133,6 +121,25 @@ class TestCrtSolve:
             assert 0 <= x < modulus
             for res, mod in system:
                 assert x % mod == res % mod
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_matches_brute_force(self, size):
+        # Every choice of `size` moduli in 2..30.  Pairwise coprime: the
+        # residues of each x below the product must give back x, the unique
+        # solution there; that is every system for two moduli, and an evenly
+        # spaced sample of about 40 solutions for three.  Otherwise the
+        # system must be refused.
+        for ms in combinations(range(2, 31), size):
+            if any(math.gcd(a, b) != 1 for a, b in combinations(ms, 2)):
+                with pytest.raises(DomainError, match="not coprime"):
+                    crt_solve(CrtSystem(tuple((0, m) for m in ms)))
+                continue
+            prod = math.prod(ms)
+            xs = range(prod) if size == 2 else {*range(0, prod, prod // 40 + 1), prod - 1}
+            for x in xs:
+                system = tuple((x % m, m) for m in ms)
+                assert crt_solve(CrtSystem(system)) == x
+                assert crt_solve(CrtSystem(system[::-1])) == x
 
     def test_non_coprime_rejected(self):
         with pytest.raises(DomainError):
@@ -175,9 +182,6 @@ class TestProperDivisors:
             assert n not in ds
             assert ds == tuple(sorted(ds))
 
-
-class TestGcdOf:
-    def test_values(self):
-        assert gcd_of([6, 10, 15]) == 1
-        assert gcd_of([4, 8]) == 4
-        assert gcd_of([]) == 0
+    def test_bound(self):
+        with pytest.raises(DomainError, match="bound exceeded"):
+            proper_divisors(FACTOR_BOUND + 1)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import icg.verify
 from icg.core import make_instance
 from icg.distance import DivisorClasses, class_diameter, diameter
 from icg.errors import ValidationError
@@ -138,6 +139,38 @@ class TestVerifyRange:
         parallel = verify_range(270, 320, jobs=2, fail_fast=True)
         assert {r.n for r in serial.records} == {270}
         assert parallel.to_json() == serial.to_json()
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the pools verify_range builds.  The stand-in pool maps
+        in this process, so these tests start no worker processes."""
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(icg.verify, "ProcessPoolExecutor", RecordingPool)
+        return built
+
+    def test_pool_is_capped_at_the_number_of_orders(self, pool_sizes):
+        report = verify_range(2, 4, jobs=1000)
+        assert pool_sizes == [3]
+        assert report.to_json() == verify_range(2, 4, jobs=1).to_json()
+
+    def test_one_order_builds_no_pool(self, pool_sizes):
+        report = verify_range(7, 7, jobs=8)
+        assert pool_sizes == []
+        assert report.to_json() == verify_range(7, 7).to_json()
 
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
