@@ -448,8 +448,7 @@ def saxena_family(primes) -> tuple[int, DivisorSet, int]:
     for p in ps:
         if p == 2:
             raise DomainError("primes must be odd")
-        fp = factorize(p)
-        if fp.factors != ((p, 1),):
+        if p < 2 or factorize(p).factors != ((p, 1),):
             raise DomainError(f"{p} is not prime")
     m = math.prod(p * p for p in ps)
     n = 2 * m

@@ -2,14 +2,17 @@
 Euler phi, CRT, and the diameter statistics r(n) and s(n).
 
 All functions are pure and operate on exact Python integers.  Factorization
-and the proper-divisor listing use deterministic trial division, which is
-plenty below ``FACTOR_BOUND`` (2**40) and keeps results reproducible
-bit-for-bit; both refuse larger n.
+trial-divides by the primes below 2**8, then tests what is left with a
+Miller-Rabin base set that is deterministic below ``FACTOR_BOUND`` (2**40)
+and splits a composite rest with Brent's Pollard rho from fixed starting
+values, so results are reproducible bit-for-bit.  The proper-divisor listing
+trial-divides up to sqrt(n).  Both refuse n above the bound.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +20,17 @@ from .errors import DomainError
 
 #: Largest n accepted by :func:`factorize`.
 FACTOR_BOUND = 1 << 40
+
+#: The primes below 2**8, by which :func:`factorize` trial-divides.  A rest
+#: with no prime factor below 2**8 is prime when it is below 2**16 (257**2 is
+#: above it).
+_SMALL_PRIMES = tuple(
+    p for p in range(2, 1 << 8) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
+
+#: Miller-Rabin bases that decide primality for every n < 2,152,302,898,747,
+#: a range that holds ``FACTOR_BOUND``.
+_MR_BASES = (2, 3, 5, 7, 11)
 
 
 @dataclass(frozen=True)
@@ -49,25 +63,101 @@ class CrtSystem:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization of n by trial division up to sqrt(n)."""
+    """Prime factorization of n.
+
+    Trial division by the primes below 2**8 stops once p * p exceeds the
+    rest.  A rest of 2**16 or more is then factored by :func:`_large_factors`.
+    """
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")
     if n > FACTOR_BOUND:
         raise DomainError(f"factorize bound exceeded: {n} > {FACTOR_BOUND}")
     factors = []
     m = n
-    p = 2
-    while p * p <= m:
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             factors.append((p, a))
-        p += 1 if p == 2 else 2
+    else:  # every small prime divided out; m may still be composite
+        if m >= 1 << 16:
+            factors.extend(_large_factors(m))
+            return Factorization(n, tuple(factors))
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
+
+
+def _large_factors(m: int) -> list[tuple[int, int]]:
+    """Ascending (p, a) pairs of m <= FACTOR_BOUND with no prime factor
+    below 2**8: Miller-Rabin tells primes from composites, and Brent's rho
+    splits each composite until only primes are left."""
+    primes = []
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        if m < 1 << 16 or _is_prime(m):
+            primes.append(m)
+        else:
+            d = _brent_rho(m)
+            stack += (d, m // d)
+    return sorted(Counter(primes).items())
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on ``_MR_BASES``, exact for odd m <= FACTOR_BOUND with
+    no prime factor below 2**8."""
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(m: int) -> int:
+    """A factor 1 < d < m of the odd composite m, by Brent's variant of
+    Pollard rho on x -> x^2 + c for c = 1, 2, ... until one splits m.
+
+    Differences are multiplied together in batches of up to 128 and share
+    one gcd; a batch whose gcd reaches m is stepped through again one
+    difference at a time."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
 
 
 def valuation(p: int, n: int) -> int:

@@ -66,6 +66,28 @@ class TestPredict:
         assert code == 0
         assert obj["applicable"] is False
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # The largest prime below FACTOR_BOUND.
+            (
+                ["1099511627689"],
+                '{"applicable": true, "case_label": "OVERALL_R", '
+                '"n": 1099511627689, "t": null, "value": 1}\n',
+            ),
+            # 1048571 * 1048573, two 20-bit primes.
+            (
+                ["1099503239183", "--t", "2"],
+                '{"applicable": true, "case_label": "T_EQ_K", '
+                '"n": 1099503239183, "t": 2, "value": 2}\n',
+            ),
+        ],
+    )
+    def test_orders_near_factor_bound(self, capsys, argv, expected):
+        code, out, err = run(capsys, "--format", "json", "predict", *argv)
+        assert code == 0
+        assert out == expected and err == ""
+
 
 class TestVerify:
     def test_text_summary(self, capsys):
@@ -115,7 +137,8 @@ class TestEnumerate:
         "argv", [["100000000000000"], ["1099511627791", "--t", "1"]]
     )
     def test_order_above_factor_bound_exits_2(self, capsys, argv):
-        # Refused before any trial division, like predict and diameter.
+        # Refused by the FACTOR_BOUND check before proper_divisors runs, as
+        # predict and diameter refuse such orders before factorize runs.
         code, out, err = run(capsys, "enumerate", *argv)
         assert code == 2
         assert out == "" and "bound exceeded" in err
@@ -176,6 +199,11 @@ class TestFamily:
     def test_bad_prime_exits_2(self, capsys):
         code, _, err = run(capsys, "family", "saxena", "4")
         assert code == 2
+
+    def test_one_is_not_prime_exits_2(self, capsys):
+        code, out, err = run(capsys, "family", "saxena", "1")
+        assert code == 2
+        assert out == "" and err == "error: 1 is not prime\n"
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

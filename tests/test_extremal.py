@@ -557,6 +557,11 @@ class TestSaxenaFamily:
         with pytest.raises(DomainError):
             saxena_family([])
 
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_rejects_values_below_two_as_not_prime(self, p):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            saxena_family([p])
+
 
 class TestDiameterTwoCases:
     def test_qualifying_instances(self):

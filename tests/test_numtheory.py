@@ -6,6 +6,8 @@ inline, and CRT solutions are verified by direct substitution.
 """
 
 import math
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -23,6 +25,7 @@ from icg.numtheory import (
     s_of,
     valuation,
 )
+from icg.numtheory import _brent_rho
 
 
 def naive_phi(n):
@@ -82,6 +85,74 @@ class TestFactorize:
         assert f.k == 3
         assert f.primes == (2, 3, 5)
         assert f.exponents == (2, 3, 1)
+
+
+# Products of primes above 2**8 leave factorize a rest of 2**16 or more,
+# which Miller-Rabin and Brent's rho must handle.  KNOWN_PRIMES holds small
+# primes up to 251 (the largest below 2**8), the Fermat primes 257 and
+# 65537, the Mersenne primes 2**13 - 1, 2**17 - 1, 2**19 - 1 and 2**31 - 1,
+# the two largest primes below 2**20, the largest below 2**16, 10**9, 2**32
+# and 2**40, and the moduli 10007, 998244353 and 10**9 + 7.
+KNOWN_PRIMES = (
+    2, 3, 5, 7, 11, 13, 251, 257, 8191, 10007, 65521, 65537, 131071, 524287,
+    1048571, 1048573, 998244353, 999999937, 1000000007, 2147483647, 4294967291,
+    1099511627689,
+)
+
+
+class TestFactorizeLarge:
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            # Strong pseudoprimes with every prime factor above 2**8, to the
+            # bases 2, 3, 5, 7 (so a base set without 11 calls it prime);
+            # 2, 7, 13, 61; 2, 3, 5; and 2, 3.
+            (118670087467, ((172243, 1), (688969, 1))),
+            (4759123141, ((48781, 1), (97561, 1))),
+            (25326001, ((2251, 1), (11251, 1))),
+            (1373653, ((829, 1), (1657, 1))),
+            # Prime powers above 2**8.
+            (257**2, ((257, 2),)),
+            (65521**2, ((65521, 2),)),
+            (10007**3, ((10007, 3),)),
+            # Rho with c = 1 reaches the whole of 65537**2; c = 2 splits it.
+            (65537**2, ((65537, 2),)),
+            # Near the bound.
+            (1048573 * 1048571, ((1048571, 1), (1048573, 1))),
+            (1099511627689, ((1099511627689, 1),)),
+            (1 << 40, ((2, 40),)),
+            (3**25, ((3, 25),)),
+            # Carmichael numbers.
+            (5394826801, ((7, 1), (13, 1), (17, 1), (23, 1), (31, 1), (67, 1), (73, 1))),
+            (232250619601, ((7, 1), (11, 1), (13, 1), (17, 1), (31, 1), (37, 1), (73, 1), (163, 1))),
+        ],
+    )
+    def test_hard_inputs(self, n, factors):
+        assert factorize(n).factors == factors
+
+    def test_seeded_products_of_known_primes(self):
+        rng = random.Random(8)
+        reach_rho = 0
+        for _ in range(300):
+            n, chosen = 1, []
+            while len(chosen) < 12:
+                p = rng.choice(KNOWN_PRIMES)
+                if n * p > FACTOR_BOUND:
+                    break
+                n *= p
+                chosen.append(p)
+            assert factorize(n).factors == tuple(sorted(Counter(chosen).items())), n
+            reach_rho += sum(p > 1 << 8 for p in chosen) >= 2
+        # Enough of the batch leaves a composite rest for Brent's rho to split.
+        assert reach_rho >= 50
+
+    @pytest.mark.parametrize(
+        "m",
+        [257**2, 65521**2, 65537**2, 10007**3, 1048573 * 1048571, 118670087467, 4759123141],
+    )
+    def test_rho_splits_properly(self, m):
+        d = _brent_rho(m)
+        assert 1 < d < m and m % d == 0
 
 
 class TestValuation:
