@@ -3,8 +3,10 @@
 Exit codes: 0 success / all matches, 1 verification mismatch,
 2 usage or validation error.  Divisor lists are comma-separated without
 spaces; ranges use lo..hi inclusive.  Flags can be defaulted through
-environment variables with the ICG_ prefix (ICG_FORMAT, ICG_JOBS); an
-environment default is parsed and checked like the flag itself.
+environment variables with the ICG_ prefix (ICG_FORMAT, ICG_JOBS): each
+one that is set is read as a leading ``--format=VALUE`` or
+``--jobs=VALUE``, so it is parsed and checked like the flag, an explicit
+flag wins, and a malformed value exits 2 even when the flag is given.
 Commands that enumerate divisor sets refuse an order with more than
 ``canonical.MAX_SUBSETS`` sets to visit (exit 2).
 """
@@ -31,22 +33,6 @@ from .pst import pst_admissible
 from .verify import verify_range
 
 FORMATS = ("text", "json", "csv")
-
-
-def _env(name: str, fallback: str) -> str:
-    # argparse runs a string default through the flag's type, so a bad
-    # environment value is reported like a bad flag.
-    return os.environ.get(f"ICG_{name}", fallback)
-
-
-def _format(text: str) -> str:
-    # A type rather than choices: argparse checks choices only on
-    # command-line values, never on an environment default.
-    if text not in FORMATS:
-        raise argparse.ArgumentTypeError(
-            f"expected one of {', '.join(FORMATS)}, got {text!r}"
-        )
-    return text
 
 
 def _positive_int(text: str) -> int:
@@ -172,15 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icg", description="Integral circulant graph diameters and maximal-diameter theory"
     )
+    parser.add_argument("--format", choices=FORMATS, default="text", help="output format")
     parser.add_argument(
-        "--format",
-        type=_format,
-        default=_env("FORMAT", "text"),
-        metavar="{" + ",".join(FORMATS) + "}",
-        help="output format",
-    )
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=_env("JOBS", "1"), help="worker processes for verify"
+        "--jobs", type=_positive_int, default=1, help="worker processes for verify"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,11 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The = form keeps a value starting with "-" a value; an explicit flag
+    # comes later in the arguments and wins.
+    env_flags = [
+        f"--{flag}={os.environ[var]}"
+        for flag, var in (("format", "ICG_FORMAT"), ("jobs", "ICG_JOBS"))
+        if var in os.environ
+    ]
+    args = PARSER.parse_args(env_flags + (sys.argv[1:] if argv is None else argv))
     if args.command == "enumerate" and args.kind == "separated" and args.t is None:
-        parser.error("enumerate --kind separated requires --t")
+        PARSER.error("enumerate --kind separated requires --t")
     try:
         return args.func(args)
     except IcgError as exc:

@@ -8,6 +8,14 @@ from pathlib import Path
 import pytest
 
 from icg.cli import main
+from icg.verify import verify_range
+
+
+@pytest.fixture(autouse=True)
+def _no_env_defaults(monkeypatch):
+    # Tests that want an ICG_ default set it themselves.
+    monkeypatch.delenv("ICG_FORMAT", raising=False)
+    monkeypatch.delenv("ICG_JOBS", raising=False)
 
 
 def run(capsys, *argv):
@@ -243,6 +251,51 @@ class TestEnvDefaults:
         code, out, _ = run(capsys, "verify", "2..12")
         assert code == 0
         assert "0 mismatches" in out
+
+    def test_format_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_FORMAT", "json")
+        code, out, _ = run(capsys, "--format", "text", "predict", "30")
+        assert code == 0
+        assert out == "4 [OVERALL_R_PLUS_1]\n"
+
+    def test_format_env_not_a_format_exits_2_despite_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_FORMAT", "xml")
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "text", "predict", "30"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "--format" in err
+
+    def test_jobs_env_not_an_integer_exits_2_despite_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICG_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1", "predict", "30"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "--jobs" in err
+
+    def test_env_is_read_on_every_call(self, capsys, monkeypatch):
+        # The parser is built once per process; a default frozen into it
+        # would survive the delenv below.
+        jobs_seen = []
+
+        def record(lo, hi, jobs, fail_fast):
+            jobs_seen.append(jobs)
+            return verify_range(lo, hi)  # serial: starts no pool
+
+        monkeypatch.setattr("icg.cli.verify_range", record)
+        monkeypatch.setenv("ICG_JOBS", "2")
+        monkeypatch.setenv("ICG_FORMAT", "json")
+        code, out, _ = run(capsys, "verify", "2..3")
+        assert code == 0 and jobs_seen == [2]
+        assert json.loads(out)["mismatches"] == 0
+        monkeypatch.delenv("ICG_JOBS")
+        monkeypatch.delenv("ICG_FORMAT")
+        code, out, _ = run(capsys, "verify", "2..3")
+        assert code == 0 and jobs_seen == [2, 1]
+        assert out.startswith("range 2..3: ")
 
 
 class TestGlobalFlags:
