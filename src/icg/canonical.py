@@ -8,7 +8,7 @@ No other divisor can take such a prime, so the eligible-prime lists are
 disjoint and a set is separated exactly when none is empty.
 Maximal-diameter graphs can always be reduced to such sets, so
 enumeration over them drives the whole verification harness.  Every
-enumeration of divisor subsets goes through ``divisor_subsets``, the one
+enumeration of divisor subsets is sized by ``subset_sizes``, the one
 place that refuses a request for more than ``MAX_SUBSETS`` sets.
 """
 
@@ -84,6 +84,23 @@ def minimal_connected(ds: DivisorSet) -> bool:
     return math.gcd(*divisors) == 1 and 1 not in _leave_one_out_gcds(divisors)
 
 
+def subset_sizes(n: int, divisors: tuple[int, ...], lo: int, hi: int | None) -> range:
+    """The sizes lo..hi, capped at len(divisors) (any size from lo when hi
+    is None), of subsets of n's proper divisors.
+
+    Raises ResourceLimitError when there are more than MAX_SUBSETS subsets
+    of these sizes, whether or not the caller visits them all.
+    """
+    top = len(divisors) if hi is None else min(hi, len(divisors))
+    sizes = range(lo, top + 1)
+    count = sum(math.comb(len(divisors), size) for size in sizes)
+    if count > MAX_SUBSETS:
+        raise ResourceLimitError(
+            f"n={n} has {count} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
+        )
+    return sizes
+
+
 def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tuple[int, ...]]:
     """Subsets of n's proper divisors with lo..hi elements (any size from lo
     when hi is None), by size, then lexicographically.
@@ -94,13 +111,7 @@ def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tupl
     if lo < 1:
         raise DomainError(f"cardinality must be >= 1, got {lo}")
     divisors = proper_divisors(n)
-    top = len(divisors) if hi is None else min(hi, len(divisors))
-    sizes = range(lo, top + 1)
-    count = sum(math.comb(len(divisors), size) for size in sizes)
-    if count > MAX_SUBSETS:
-        raise ResourceLimitError(
-            f"n={n} has {count} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
-        )
+    sizes = subset_sizes(n, divisors, lo, hi)
     return chain.from_iterable(combinations(divisors, size) for size in sizes)
 
 

@@ -8,7 +8,7 @@ one that is set is read as a leading ``--format=VALUE`` or
 ``--jobs=VALUE``, so it is parsed and checked like the flag, an explicit
 flag wins, and a malformed value exits 2 even when the flag is given.
 Commands that enumerate divisor sets refuse an order with more than
-``canonical.MAX_SUBSETS`` sets to visit (exit 2).
+``canonical.MAX_SUBSETS`` candidate sets (exit 2).
 """
 
 from __future__ import annotations

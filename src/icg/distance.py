@@ -70,9 +70,9 @@ class DivisorClasses:
     Class index i has the digit (i // stride_p) % (a_p + 1) = v_p of its
     divisor for each prime p, smallest prime in the lowest digit, so a set
     of classes is one bitmask integer.  Index 0 is the class 1 and the top
-    index is the class n, i.e. vertex 0.  Successor masks are computed per
-    symbol class on first use and kept, so one instance serves every
-    divisor set of the same order.
+    index is the class n, i.e. vertex 0.  Successor masks are built per
+    symbol class on first use, one prime digit at a time, and kept, so one
+    instance serves every divisor set of the same order.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -89,31 +89,29 @@ class DivisorClasses:
 
     def step(self, d: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
-        of class d to a vertex of that class can reach."""
+        of class d to a vertex of that class can reach.
+
+        The reachable classes are a product over primes of the valuations
+        the sum can take, so the row is built one prime at a time.  Before
+        prime p it holds the masks of the stride_p classes of the smaller
+        primes.  Each is multiplied, per valuation v_p of the vertex, by
+        the mask with bit e * stride_p set for each v_p of the sum that the
+        per-prime rules in the module docstring allow.  The earlier masks
+        lie below bit stride_p, so each product is a union of shifted
+        copies.
+        """
         row = self._steps.get(d)
         if row is None:
-            j_digits = self._digits(self.index[d])
-            row = tuple(
-                self._box(self._digits(i), j_digits) for i in range(len(self.divisors))
-            )
-            self._steps[d] = row
+            row = [1]
+            for (p, a), s in zip(self._factors, self._strides):
+                j = self.index[d] // s % (a + 1)
+                valuations = [
+                    [min(i, j)] if i != j else [a] if i == a else range(i + (p == 2), a + 1)
+                    for i in range(a + 1)
+                ]
+                row = [m * sum(1 << (e * s) for e in es) for es in valuations for m in row]
+            row = self._steps[d] = tuple(row)
         return row
-
-    def _digits(self, i: int) -> list[int]:
-        return [(i // s) % (a + 1) for s, (_p, a) in zip(self._strides, self._factors)]
-
-    def _box(self, i_digits: list[int], j_digits: list[int]) -> int:
-        """Mask of the classes g + s falls in, over v_p(g) = i_digits and
-        v_p(s) = j_digits, by the per-prime rules in the module docstring."""
-        mask = 1
-        for (p, a), s, i, j in zip(self._factors, self._strides, i_digits, j_digits):
-            if i != j:
-                mask <<= min(i, j) * s
-            elif i == a:
-                mask <<= a * s
-            else:
-                mask = sum(mask << (e * s) for e in range(i + (p == 2), a + 1))
-        return mask
 
 
 def _bits(mask: int):

@@ -1,14 +1,21 @@
 """Exhaustive verification: closed-form predictions vs BFS.
 
-For each order n with k distinct prime factors, every connected divisor
-set with at most k elements gets a BFS diameter; maxima per cardinality
-and overall are compared against the predictions.  Larger sets cannot
-change a record: adding a divisor only adds edges, and every connected set
-contains a minimal connected subset, whose divisors each have their own
-prime dividing all the others, so it has at most k elements.  Sets come
-from ``canonical.divisor_subsets`` by size, then lexicographically, so each
-witness is the first set to reach its maximum, as over the full power set;
-an order with more than ``MAX_SUBSETS`` such sets is refused.
+For each order n with k distinct prime factors, the connected divisor sets
+with at most k elements decide the maxima per cardinality and overall that
+are compared against the predictions.  Larger sets cannot change a record:
+adding a divisor only adds edges, and every connected set contains a
+minimal connected subset, whose divisors each have their own prime
+dividing all the others, so it has at most k elements.
+
+The sets are searched depth first over the proper divisors, so each set
+comes before its extensions and the sets of one size come in lexicographic
+order.  Each connected set gets a BFS diameter, which bounds the diameter
+of every extension; the extensions are skipped when it is no more than the
+record of every larger size.  A skipped set cannot strictly improve a
+record, so each witness is still the first set, by size then
+lexicographically, to reach its maximum, as over the full power set.  An
+order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
+before any BFS, although the search runs a BFS on far fewer of them.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -25,7 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from .canonical import divisor_subsets, enumerate_separated
+from .canonical import enumerate_separated, subset_sizes
 from .core import make_instance
 from .distance import DivisorClasses, apsp_oracle, class_diameter
 from .errors import ValidationError
@@ -71,25 +78,40 @@ def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
     classes = DivisorClasses(f)
+    k = f.k
+    divisors = proper_divisors(n)
+    subset_sizes(n, divisors, 1, k)
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # t -> (max diam, witness)
-    for combo in divisor_subsets(n, 1, f.k):
-        if math.gcd(*combo) != 1:
-            continue
-        diam = class_diameter(classes, combo)
-        if diam is None:
-            raise RuntimeError(f"n={n}: connected set {combo} left classes unreached")
-        size = len(combo)
-        if size not in best or diam > best[size][0]:
-            best[size] = (diam, combo)
+
+    def extend(prefix: tuple[int, ...], prefix_gcd: int, start: int) -> None:
+        """Visit each set prefix + (d,) with d from divisors[start:], then
+        its extensions."""
+        size = len(prefix) + 1
+        for i in range(start, len(divisors)):
+            node = prefix + (divisors[i],)
+            node_gcd = math.gcd(prefix_gcd, divisors[i])
+            if node_gcd == 1:
+                diam = class_diameter(classes, node)
+                if diam is None:
+                    raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
+                if size not in best or diam > best[size][0]:
+                    best[size] = (diam, node)
+                # Every extension has diameter <= diam: none can beat a record.
+                if all(s in best and diam <= best[s][0] for s in range(size + 1, k + 1)):
+                    continue
+            if size < k:
+                extend(node, node_gcd, i + 1)
+
+    extend((), 0, 0)
     records = []
-    for t in range(1, f.k + 1):
+    for t in range(1, k + 1):
         predicted = predict_max_for_t(f, t)
         observed, witness = best[t]
         status = Status.MATCH if predicted.value == observed else Status.MISMATCH
         records.append(VerificationRecord(n, t, predicted, observed, witness, status))
     predicted = predict_overall_max(f)
-    # The first strict maximum over sizes 1..k, in enumeration order.
-    observed, witness = max(best.values(), key=lambda entry: entry[0])
+    # The first strict maximum over sizes 1..k, smallest size first.
+    observed, witness = max((best[t] for t in range(1, k + 1)), key=lambda entry: entry[0])
     status = Status.MATCH if predicted.value == observed else Status.MISMATCH
     records.append(VerificationRecord(n, None, predicted, observed, witness, status))
     return records

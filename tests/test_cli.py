@@ -118,6 +118,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "9..3")
         assert code == 2
 
+    def test_order_over_subset_guard_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "20790..20790")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n=20790 has 7666239 divisor subsets of size 1..5, cap is 1048576\n"
+
 
 class TestEnumerate:
     def test_connected_json_lines(self, capsys):

@@ -23,7 +23,7 @@ from icg.distance import (
     levels_from_zero,
 )
 from icg.errors import DomainError, ResourceLimitError
-from icg.numtheory import proper_divisors
+from icg.numtheory import factorize, proper_divisors
 
 from bitmask_oracle import symbol_mask, vertex_levels
 
@@ -181,6 +181,23 @@ class TestLevels:
                     if vmask >> x & 1:
                         expected |= 1 << classes.index[math.gcd(x, n)]
                 assert cmask == expected, (n, dset)
+
+
+class TestStepRows:
+    def test_rows_match_vertex_sums(self):
+        # Bit c of step(d)[index[g]] is set exactly when some symbol s of
+        # class d takes vertex g to a vertex of class c.  2..300 holds
+        # exponents of 3 or more, 4 | n and n = 2 (mod 4).
+        for n in range(2, 301):
+            classes = DivisorClasses(factorize(n))
+            for d in proper_divisors(n):
+                symbols = [s for s in range(n) if math.gcd(s, n) == d]
+                row = classes.step(d)
+                for g in classes.divisors:
+                    expected = 0
+                    for s in symbols:
+                        expected |= 1 << classes.index[math.gcd(g + s, n)]
+                    assert row[classes.index[g]] == expected, (n, d, g)
 
 
 class TestOracleLimits:

@@ -7,9 +7,10 @@ from itertools import combinations
 import pytest
 
 import icg.verify
+from icg.canonical import divisor_subsets
 from icg.core import make_instance
 from icg.distance import DivisorClasses, class_diameter, diameter
-from icg.errors import ValidationError
+from icg.errors import ResourceLimitError, ValidationError
 from icg.extremal import predict_max_for_t, predict_overall_max
 from icg.numtheory import factorize, proper_divisors
 from icg.verify import (
@@ -39,6 +40,34 @@ def naive_maxima(n):
             if dv > overall[0]:
                 overall = (dv, combo)
     return per_t, overall
+
+
+def flat_records(n):
+    """(t, predicted, observed, witness, status) per t = 1..k, then overall
+    (t None), from a BFS on every connected set with at most k divisors, by
+    size, then lexicographically: the loop verify_order ran before its
+    search skipped extensions."""
+    f = factorize(n)
+    classes = DivisorClasses(f)
+    best = {}
+    for combo in divisor_subsets(n, 1, f.k):
+        if math.gcd(*combo) != 1:
+            continue
+        dv = class_diameter(classes, combo)
+        if len(combo) not in best or dv > best[len(combo)][0]:
+            best[len(combo)] = (dv, combo)
+    rows = [(t, predict_max_for_t(f, t), *best[t]) for t in range(1, f.k + 1)]
+    rows.append((None, predict_overall_max(f), *max(best.values(), key=lambda e: e[0])))
+    return [
+        (t, pred.value, dv, combo, "MATCH" if pred.value == dv else "MISMATCH")
+        for t, pred, dv, combo in rows
+    ]
+
+
+def record_rows(records):
+    return [
+        (r.t, r.predicted.value, r.observed_max, r.witness_set, r.status.value) for r in records
+    ]
 
 
 class TestVerifyOrder:
@@ -85,12 +114,63 @@ class TestVerifyOrder:
                 assert r.predicted == predict_max_for_t(f, r.t)
 
 
+class TestPrunedSearch:
+    def test_matches_flat_loop(self):
+        for n in range(2, 401):
+            assert record_rows(verify_order(n)) == flat_records(n), n
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2310, [
+                (1, 3, 3, (1,), "MATCH"),
+                (2, 5, 5, (6, 35), "MATCH"),
+                (3, 6, 6, (30, 231, 770), "MATCH"),
+                (4, 6, 6, (30, 210, 231, 770), "MATCH"),
+                (5, 5, 5, (6, 30, 35, 66, 210), "MATCH"),
+                (None, 6, 6, (30, 231, 770), "MATCH"),
+            ]),
+            (5670, [
+                (1, 3, 3, (1,), "MATCH"),
+                (2, 5, 5, (6, 35), "MATCH"),
+                (3, 6, 6, (45, 70, 126), "MATCH"),
+                (4, 5, 6, (45, 70, 126, 135), "MISMATCH"),
+                (None, 6, 6, (45, 70, 126), "MATCH"),
+            ]),
+            (47250, [
+                (1, 3, 3, (1,), "MATCH"),
+                (2, 5, 5, (6, 25), "MATCH"),
+                (3, 7, 7, (126, 225, 350), "MATCH"),
+                (4, 6, 7, (126, 225, 350, 378), "MISMATCH"),
+                (None, 7, 7, (126, 225, 350), "MATCH"),
+            ]),
+        ],
+    )
+    def test_large_orders_pinned(self, n, expected):
+        # Records of the flat loop; 5670 and 47250 miss the t = k
+        # prediction by one, as the orders 2 p^a q up to 1000 do.
+        assert record_rows(verify_order(n)) == expected
+
+    def test_guard_refuses_before_any_bfs(self, monkeypatch):
+        # 20790 = 2 3^3 5 7 11 has 63 proper divisors, hence 7,666,239
+        # sets with at most k = 5 of them.
+        calls = []
+        monkeypatch.setattr(icg.verify, "class_diameter", lambda *args: calls.append(args))
+        with pytest.raises(ResourceLimitError) as exc:
+            verify_order(20790)
+        assert str(exc.value) == (
+            "n=20790 has 7666239 divisor subsets of size 1..5, cap is 1048576"
+        )
+        assert calls == []
+
+
 class TestKnownCounterexamples:
     def test_t_eq_k_mismatches_up_to_1000(self):
         # The t = k prediction r(n) is one short for these orders of the
         # form 2 p^a q with a >= 3; the overall prediction still holds.
-        # Every order is verified: the |D| <= k enumeration stays far below
-        # the subset guard (the largest, n = 840, visits 36,456 sets).
+        # Every order is verified: its sets with |D| <= k stay far below
+        # the subset guard (the most, 36,456, are n = 840's, of which the
+        # search runs a BFS on 2,566).
         mismatches = []
         for n in range(2, 1001):
             for r in verify_order(n):
