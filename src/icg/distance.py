@@ -15,6 +15,13 @@ This is the gcd-graph view of Klotz and Sander, "Some properties of unitary
 Cayley graphs" (EJC 2007).  The smallest vertex of class g < n is g itself,
 so diameters and their witness vertices are read off the class distances.
 
+Witness paths are built in class space too.  A step back from vertex cur
+goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
+The candidates of class c reached by a symbol of class e are the
+progression u = 0 (mod c), u = cur (mod e), and the pair is searched only
+when the step row of e takes the class of cur to c, so each search ends
+at a hit below n.
+
 ``apsp_oracle`` deliberately uses a plain queue-based BFS per source vertex
 over all n vertices, so it is an independent cross-check of the class BFS.
 """
@@ -167,31 +174,52 @@ def bfs_profile(g: IcgInstance) -> DistanceProfile:
     return DistanceProfile(n, tuple(dist[math.gcd(v, n)] for v in range(n)))
 
 
+def _step_towards_zero(classes: DivisorClasses, divisors, level: int, cur: int) -> int:
+    """Smallest vertex u in the classes of the bitmask level with
+    gcd(cur - u, n) in divisors; see ``diameter``."""
+    n = classes.divisors[-1]
+    gate = classes.index[math.gcd(cur, n)]
+    best = n
+    for e in divisors:
+        for i in _bits(classes.step(e)[gate] & level):
+            c = classes.divisors[i]
+            h = math.gcd(c, e)
+            u = c * (cur // h * pow(c // h, -1, e // h) % (e // h))
+            while u < best:
+                if math.gcd(u, n) == c and math.gcd(cur - u, n) == e:
+                    best = u
+                    break
+                u += c // h * e
+    return best
+
+
 def diameter(g: IcgInstance) -> DiameterResult:
     """Diameter with the smallest witness vertex and one shortest path.
 
     The reconstructed path is the one a BFS with ascending frontier order
     would record: each step backtracks to the smallest vertex one level
-    closer to 0.
+    closer to 0.  The step is found in class space.  The vertices u of
+    class c with gcd(cur - u, n) = e are the terms of the progression
+    u = 0 (mod c), u = cur (mod e), of step lcm(c, e) and first term
+    c * ((cur/h) * (c/h)^-1 mod e/h) with h = gcd(c, e).  A pair (c, e)
+    is walked only when bit c of step(e)[gcd(cur, n)] is set, that is when
+    some symbol of class e takes cur into class c, so every walked
+    progression holds a hit below n.  A walk stops at the best hit so far,
+    and the first term whose two gcds are exactly c and e is the smallest
+    of its pair, so the minimum over pairs is the smallest vertex of all.
     """
-    n = g.n
-    dist = _class_distances(g)
+    classes = DivisorClasses(g.factorization)
+    divisors = g.divisor_set.divisors
+    levels = levels_from_zero(classes, divisors)
     if not is_connected(g.divisor_set):
-        witness = min(c for c, d in dist.items() if d is None)
+        reached = sum(levels)
+        witness = min(c for i, c in enumerate(classes.divisors) if not reached >> i & 1)
         return DiameterResult(None, witness, None)
-    value = max(dist.values())  # type: ignore[type-var]
-    witness = min(c for c, d in dist.items() if d == value)
-    dset = set(g.divisor_set.divisors)
+    witness = min(classes.divisors[i] for i in _bits(levels[-1]))
     path = [witness]
-    cur = witness
-    for d in range(value - 1, -1, -1):
-        cur = next(
-            u
-            for u in range(n)
-            if math.gcd(cur - u, n) in dset and dist[math.gcd(u, n)] == d
-        )
-        path.append(cur)
-    return DiameterResult(value, witness, tuple(reversed(path)))
+    for level in reversed(levels[:-1]):
+        path.append(_step_towards_zero(classes, divisors, level, path[-1]))
+    return DiameterResult(len(levels) - 1, witness, tuple(reversed(path)))
 
 
 def distance(g: IcgInstance, u: int, v: int) -> int | None:

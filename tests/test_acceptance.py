@@ -116,11 +116,30 @@ def test_criterion_05_exhaustive_sweep(capsys):
 
 
 def test_criterion_06_two_t_plus_one_tightness(capsys):
-    for primes, n in (((3,), 18), ((3, 5), 450), ((3, 5, 7), 22050)):
+    # k = 4, 5 and 6 reach n = 1.3 * 10^11: the witness path is built in
+    # class space, and each of its vertices is checked against the class
+    # distances and each step against D.
+    families = (
+        ((3,), 18),
+        ((3, 5), 450),
+        ((3, 5, 7), 22050),
+        ((3, 5, 7, 11), 2668050),
+        ((3, 5, 7, 11, 13), 450900450),
+        ((3, 5, 7, 11, 13, 17), 130310230050),
+    )
+    for primes, n in families:
         fam_n, ds, predicted = saxena_family(primes)
         assert fam_n == n
         assert predicted == 2 * len(primes) + 1
-        assert diameter(make_instance(n, ds.divisors)).value == predicted, n
+        g = make_instance(n, ds.divisors)
+        res = diameter(g)
+        assert res.value == predicted, n
+        path = res.witness_path
+        assert len(path) == predicted + 1, n
+        for a, b in zip(path, path[1:]):
+            assert math.gcd(b - a, n) in ds.divisors, (n, a, b)
+        for i, v in enumerate(path):
+            assert distance(g, 0, v) == i, (n, i, v)
     # No connected set with more divisors than prime factors ever reaches
     # 2|D|+1 across the full sweep range.  The sweep itself never visits
     # these sets, so the vertex-level bitmask oracle adjudicates them and
@@ -139,7 +158,8 @@ def test_criterion_06_two_t_plus_one_tightness(capsys):
                 assert class_diameter(classes, combo) == dv, (n, combo)
     announce(
         capsys,
-        "acceptance 6 PASS: tight family diameters 3/5/7; no |D| > k set reaches 2|D|+1 "
+        "acceptance 6 PASS: tight family diameters 3/5/7/9/11/13 with valid witness paths; "
+        "no |D| > k set reaches 2|D|+1 "
         "for n <= 150, and the class engine agrees with the bitmask oracle on each",
     )
 

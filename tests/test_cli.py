@@ -43,11 +43,29 @@ class TestDiameter:
         assert "infinite" in out
 
     def test_large_degree_writes_nothing_to_stderr(self, capsys):
-        # n * degree is 4 * 10^9 here; the class BFS does not scale with it.
+        # n * degree is 4 * 10^9 here; neither the class BFS nor the
+        # class-space witness path scales with it.
         code, out, err = run(capsys, "diameter", "100000", "1")
         assert code == 0
         assert out.startswith("3 ")
         assert err == ""
+
+    def test_saxena_k5(self, capsys):
+        # n = 2 * (3*5*7*11*13)^2.  The path is pinned from the class-space
+        # search; at this n no brute force can confirm that it is the
+        # smallest, so that rests on the identity test against the vertex
+        # scan in test_distance.py.
+        code, out, err = run(
+            capsys, "--format", "json", "diameter", "450900450", "1334025,1863225,4601025,9018009,25050025"
+        )
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert obj["value"] == 11
+        assert obj["witness_vertex"] == 15015
+        assert obj["witness_path"] == [
+            0, 244082475, 118832350, 104125, 99302224, 39488899,
+            14438874, 5420865, 819840, 2683065, 1349040, 15015,
+        ]
 
     def test_invalid_divisor_exits_2(self, capsys):
         code, _, err = run(capsys, "diameter", "12", "5")

@@ -8,6 +8,7 @@ neither shares code with the production path.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,67 @@ class TestDiameter:
         assert diameter(inst).witness_vertex == expected
 
 
+def scan_diameter(g):
+    """Value, witness and path as the vertex scan found them before path
+    steps moved to class space: each step takes the first u = 0, 1, ...
+    one level closer to 0 with gcd(cur - u, n) in D.  Connected only."""
+    n = g.n
+    dist = bfs_profile(g).dist
+    value = max(dist)
+    witness = dist.index(value)
+    dset = set(g.divisor_set.divisors)
+    path = [witness]
+    cur = witness
+    for d in range(value - 1, -1, -1):
+        cur = next(u for u in range(n) if math.gcd(cur - u, n) in dset and dist[u] == d)
+        path.append(cur)
+    return value, witness, tuple(reversed(path))
+
+
+def seeded_connected_sets():
+    """Connected (n, D) with n < 20,000 and |D| <= 5: 1,200 random orders,
+    then 40 sets on each of 2310, 4620 and 9240 (k >= 4), 1890 and 6750
+    (n = 2 mod 4, exponent 3) and 3888 = 2^4 * 3^5."""
+    rng = random.Random(2024)
+    orders = [rng.randrange(2, 20000) for _ in range(1200)]
+    orders += [n for n in (2310, 4620, 9240, 1890, 6750, 3888) for _ in range(40)]
+    for n in orders:
+        divs = proper_divisors(n)
+        ds = rng.sample(divs, rng.randint(1, min(5, len(divs))))
+        if math.gcd(*ds) != 1:
+            ds[-1] = 1
+        yield n, sorted(ds)
+
+
+class TestClassSpacePath:
+    def test_matches_vertex_scan(self):
+        cases = list(seeded_connected_sets())
+        for n, ds in cases:
+            inst = make_instance(n, ds)
+            res = diameter(inst)
+            assert (res.value, res.witness_vertex, res.witness_path) == scan_diameter(inst), (n, ds)
+        # The set holds |D| up to 5, n = 2 (mod 4), an odd exponent >= 3
+        # and k >= 4.
+        assert {len(ds) for _, ds in cases} == {1, 2, 3, 4, 5}
+        exponents = [factorize(n).exponents for n, _ in cases]
+        assert any(n % 4 == 2 for n, _ in cases)
+        assert any(a >= 3 and a % 2 for es in exponents for a in es)
+        assert any(len(es) >= 4 for es in exponents)
+
+    def test_saxena_k4_pinned(self):
+        # n = 2 * (3*5*7*11)^2 = 2,668,050; the path the vertex scan found.
+        res = diameter(make_instance(2668050, [11025, 27225, 53361, 148225]))
+        assert res.witness_path == (0, 1598625, 584766, 993141, 252016, 103791, 50430, 23205, 12180, 1155)
+
+    def test_step_rows_bound_the_walk(self):
+        # n = 2^2 * 7^2 * 11^6.  Some (class, symbol class) pairs here have
+        # no vertex at all; the step rows skip them.  Walked anyway, the
+        # first of them runs through about n / lcm terms (a minute), where
+        # the gated search takes under a millisecond.  Path from the scan.
+        res = diameter(make_instance(347225956, [2, 77, 9317]))
+        assert (res.value, res.witness_path) == (3, (0, 78, 1, 7))
+
+
 class TestDistance:
     def test_symmetry_and_identity(self):
         inst = make_instance(30, [2, 3])
@@ -151,7 +213,9 @@ class TestOracleProperties:
     def test_engine_matches_oracle(self, drawn):
         inst, u, v = drawn
         table = apsp_oracle(inst)
-        assert diameter(inst).value == max(max(row) for row in table)
+        res = diameter(inst)
+        assert res.value == max(max(row) for row in table)
+        assert (res.value, res.witness_vertex, res.witness_path) == scan_diameter(inst)
         assert distance(inst, u, v) == table[u][v]
 
 
