@@ -7,16 +7,26 @@ for d are those dividing the leave-one-out gcd(D - {d}) but not gcd(D).
 No other divisor can take such a prime, so the eligible-prime lists are
 disjoint and a set is separated exactly when none is empty.
 Maximal-diameter graphs can always be reduced to such sets, so
-enumeration over them drives the whole verification harness.  Every
-enumeration of divisor subsets is sized by ``subset_sizes``, the one
-place that refuses a request for more than ``MAX_SUBSETS`` sets.
+enumeration over them drives the whole verification harness.
+
+Whether p is eligible for d depends only on which members p divides, so
+separation is a property of the members' prime-support masks (bit i set
+when the i-th prime divides d): a set is separated exactly when, for each
+member mask m, the AND of the other masks has a bit outside m.
+``enumerate_separated`` therefore builds its sets as products of the
+divisors bucketed by mask, over the separated mask sets of size t, which
+depend only on k and t.  Every enumeration of divisor subsets is sized by
+``subset_sizes``, the one place that refuses a request for more than
+``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import chain, combinations, product
+from operator import and_
 from typing import Iterator
 
 from .core import DivisorSet, make_divisor_set
@@ -88,9 +98,12 @@ def subset_sizes(n: int, divisors: tuple[int, ...], lo: int, hi: int | None) -> 
     """The sizes lo..hi, capped at len(divisors) (any size from lo when hi
     is None), of subsets of n's proper divisors.
 
-    Raises ResourceLimitError when there are more than MAX_SUBSETS subsets
-    of these sizes, whether or not the caller visits them all.
+    Raises DomainError when lo < 1, and ResourceLimitError when there are
+    more than MAX_SUBSETS subsets of these sizes, whether or not the caller
+    visits them all.
     """
+    if lo < 1:
+        raise DomainError(f"cardinality must be >= 1, got {lo}")
     top = len(divisors) if hi is None else min(hi, len(divisors))
     sizes = range(lo, top + 1)
     count = sum(math.comb(len(divisors), size) for size in sizes)
@@ -108,21 +121,56 @@ def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tupl
     Raises ResourceLimitError, before yielding anything, when there are
     more than MAX_SUBSETS of them.
     """
-    if lo < 1:
-        raise DomainError(f"cardinality must be >= 1, got {lo}")
     divisors = proper_divisors(n)
     sizes = subset_sizes(n, divisors, lo, hi)
     return chain.from_iterable(combinations(divisors, size) for size in sizes)
 
 
+@lru_cache(maxsize=None)  # keys (k, t) with t <= k <= 11 below FACTOR_BOUND
+def _separated_masks(k: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The t-sets of prime-support masks over k primes, ascending, in
+    which each mask m meets AND(other masks) & ~m != 0.
+
+    The AND of no masks is the full mask, which itself is never separated
+    and is left out; two equal masks would leave each other no bit, so the
+    masks of a separated set are distinct.
+    """
+    full = (1 << k) - 1
+    return tuple(
+        masks
+        for masks in combinations(range(full), t)
+        if all(
+            reduce(and_, masks[:i] + masks[i + 1 :], full) & ~m
+            for i, m in enumerate(masks)
+        )
+    )
+
+
 def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
-    """All t-element divisor sets of n admitting a separation witness, ascending."""
+    """All t-element divisor sets of n admitting a separation witness, ascending.
+
+    A separated set has at most k members, since their eligible-prime
+    lists are disjoint and nonempty, so t > k gives no sets and no
+    refusal.  Otherwise each set is one divisor from each bucket of a
+    separated mask set.  The table of mask sets is built only after the
+    ``subset_sizes`` guard passes: n has at least 2^k - 1 proper divisors,
+    so building it tries no more than the C(len(divisors), t) subsets the
+    guard admits.
+    """
     f = factorize(n)
-    return [
-        DivisorSet(n, combo)
-        for combo in divisor_subsets(n, t, t)
-        if all(eligible_primes(f, combo))
-    ]
+    if t > f.k:
+        return []
+    divisors = proper_divisors(n)
+    subset_sizes(n, divisors, t, t)
+    buckets: list[list[int]] = [[] for _ in range(1 << f.k)]
+    for d in divisors:
+        buckets[sum(1 << i for i, p in enumerate(f.primes) if d % p == 0)].append(d)
+    combos = sorted(
+        tuple(sorted(combo))
+        for masks in _separated_masks(f.k, t)
+        for combo in product(*(buckets[m] for m in masks))
+    )
+    return [DivisorSet(n, combo) for combo in combos]
 
 
 def enumerate_connected(n: int, t: int | None = None) -> list[DivisorSet]:

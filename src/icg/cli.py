@@ -8,7 +8,9 @@ one that is set is read as a leading ``--format=VALUE`` or
 ``--jobs=VALUE``, so it is parsed and checked like the flag, an explicit
 flag wins, and a malformed value exits 2 even when the flag is given.
 Commands that enumerate divisor sets refuse an order with more than
-``canonical.MAX_SUBSETS`` candidate sets (exit 2).
+``canonical.MAX_SUBSETS`` candidate sets (exit 2), except that
+``enumerate --kind separated`` with a ``--t`` above the number of prime
+factors prints no sets and exits 0, since no such set is separated.
 """
 
 from __future__ import annotations

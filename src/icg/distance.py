@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
@@ -156,10 +157,17 @@ def class_diameter(classes: DivisorClasses, divisors) -> int | None:
     return len(levels) - 1
 
 
+@lru_cache(maxsize=8)
+def _shared_classes(f: Factorization) -> DivisorClasses:
+    """One DivisorClasses per recent order, so that repeated ``distance``
+    and ``bfs_profile`` calls on one order build its step rows once."""
+    return DivisorClasses(f)
+
+
 def _class_distances(g: IcgInstance) -> dict[int, int | None]:
     """d(0, x) keyed by gcd(x, n), with n for vertex 0; None marks an
     unreachable class."""
-    classes = DivisorClasses(g.factorization)
+    classes = _shared_classes(g.factorization)
     dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
     for d, m in enumerate(levels_from_zero(classes, g.divisor_set.divisors)):
         for i in _bits(m):

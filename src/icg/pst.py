@@ -5,20 +5,23 @@ A divisor set D over n admits PST exactly when n is a multiple of 4 and
     D = D3 u D2 u 2*D2 u 4*D2 u {n / 2^a},   a in {1, 2},
 
 where D3 = {d in D : n/d = 0 (mod 8)} and D2 = {d in D : n/d = 4 (mod 8)}
-minus {n/4}.  This module applies the characterization verbatim; no
-spectral machinery is involved.
+minus {n/4}.  ``pst_admissible`` applies the characterization verbatim
+to a given set; no spectral machinery is involved.  ``enumerate_pst_sets``
+runs it the other way: it builds each set from its parts, taking D3 and
+D2 from their pools of proper divisors, instead of testing every subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .canonical import divisor_subsets
+from .canonical import subset_sizes
 from .core import DivisorSet, is_connected
 from .distance import DivisorClasses, class_diameter
 from .errors import DomainError
 from .extremal import predict_overall_max
-from .numtheory import Factorization
+from .numtheory import Factorization, proper_divisors
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,34 @@ def pst_admissible(f: Factorization, ds: DivisorSet) -> PstDecomposition | None:
 def enumerate_pst_sets(
     f: Factorization, max_size: int | None = None
 ) -> list[tuple[DivisorSet, PstDecomposition]]:
-    """All PST-admissible divisor sets of n, optionally capped in cardinality."""
+    """All PST-admissible divisor sets of n, optionally capped in
+    cardinality, by size and then lexicographically.
+
+    Each set is D3 u D2 u 2*D2 u 4*D2 u {n / 2^a}, with D3 drawn from the
+    proper divisors d with n/d = 0 (mod 8) and D2 from those with
+    n/d = 4 (mod 8) other than n/4.  The five parts are disjoint: on them
+    n/d is 0 mod 8, 4 mod 8 (but never 4), 2 mod 4, odd, and 2 or 4.  So
+    the set has |D3| + 3|D2| + 1 elements and ``pst_admissible`` returns
+    exactly these parts for it.  Orders with too many subsets of the allowed sizes are
+    refused by ``subset_sizes``, as for every other enumeration.
+    """
     n = f.n
     if n % 4 != 0:
         return []
+    divisors = proper_divisors(n)
+    d3_pool = [d for d in divisors if (n // d) % 8 == 0]
+    d2_pool = [d for d in divisors if (n // d) % 8 == 4 and d != n // 4]
     out = []
-    for combo in divisor_subsets(n, 1, max_size):
-        ds = DivisorSet(n, combo)
-        dec = pst_admissible(f, ds)
-        if dec is not None:
-            out.append((ds, dec))
+    for size in subset_sizes(n, divisors, 1, max_size):
+        for s2 in range((size - 1) // 3 + 1):
+            for d2 in combinations(d2_pool, s2):
+                for d3 in combinations(d3_pool, size - 1 - 3 * s2):
+                    for a in (1, 2):
+                        dec = PstDecomposition(
+                            d3, d2, tuple(2 * d for d in d2), tuple(4 * d for d in d2), n >> a, a
+                        )
+                        out.append((DivisorSet(n, tuple(sorted(dec.parts_union()))), dec))
+    out.sort(key=lambda pair: (len(pair[0].divisors), pair[0].divisors))
     return out
 
 

@@ -2,7 +2,9 @@
 
 The separation property is re-derived by a brute-force definition check
 (try every injective divisor-to-prime assignment) and compared against
-the production witnesses, the product of the eligible-prime lists.
+the production witnesses, the product of the eligible-prime lists.  The
+separated sets built from prime-support masks are compared with a filter
+over every t-subset, which is how they were enumerated before.
 """
 
 import itertools
@@ -11,7 +13,9 @@ import math
 import pytest
 
 from icg.canonical import (
+    _separated_masks,
     divisor_subsets,
+    eligible_primes,
     enumerate_connected,
     enumerate_separated,
     iter_witnesses,
@@ -53,6 +57,17 @@ def brute_force_witnesses(n, divisors):
             d % p != 0 and all(e % p == 0 for e in divisors if e != d)
             for d, p in zip(divisors, assign)
         )
+    ]
+
+
+def filter_separated(n, t):
+    """Every t-subset of the proper divisors whose eligible-prime lists are
+    all nonempty, ascending: the reference for ``enumerate_separated``."""
+    f = factorize(n)
+    return [
+        DivisorSet(n, combo)
+        for combo in divisor_subsets(n, t, t)
+        if all(eligible_primes(f, combo))
     ]
 
 
@@ -184,6 +199,39 @@ class TestEnumeration:
     def test_divisor_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_connected(720720, None)
+
+
+class TestSeparatedFromMasks:
+    def test_matches_subset_filter(self):
+        # Same lists, in the same order, for every order up to 1200 and
+        # every size up to k.
+        for n in range(2, 1201):
+            for t in range(1, factorize(n).k + 1):
+                assert enumerate_separated(n, t) == filter_separated(n, t), (n, t)
+
+    def test_refuses_what_the_filter_refuses(self):
+        # Each order has more than 2^20 subsets of the size t <= k asked for.
+        for n, t in ((720720, 6), (720720, 3), (30030, 6)):
+            with pytest.raises(ResourceLimitError) as expected:
+                filter_separated(n, t)
+            with pytest.raises(ResourceLimitError) as got:
+                enumerate_separated(n, t)
+            assert str(got.value) == str(expected.value), (n, t)
+
+    def test_sizes_beyond_k_are_empty_without_the_guard(self):
+        # k = 6 and 8,088,059,011,227 candidate 7-subsets.
+        assert enumerate_separated(720720, 7) == []
+        assert enumerate_separated(30, 4) == filter_separated(30, 4) == []
+
+    def test_one_mask_set_at_full_size(self):
+        # With t = k, member s has every prime but the s-th.
+        for k in range(1, 6):
+            full = (1 << k) - 1
+            assert _separated_masks(k, k) == (tuple(sorted(full ^ (1 << s) for s in range(k))),)
+
+    def test_no_mask_sets_beyond_k(self):
+        for k in range(1, 5):
+            assert _separated_masks(k, k + 1) == ()
 
 
 class TestDivisorSubsets:

@@ -165,6 +165,12 @@ class TestEnumerate:
         sizes = {len(r["divisors"]) for r in rows}
         assert 1 in sizes and 2 in sizes
 
+    def test_separated_beyond_k_is_empty(self, capsys):
+        # k = 6, so no 7-set is separated; the 8,088,059,011,227 candidate
+        # 7-subsets of the 239 proper divisors are never counted against the cap.
+        code, out, err = run(capsys, "enumerate", "720720", "--t", "7", "--kind", "separated")
+        assert (code, out, err) == (0, "", "")
+
     @pytest.mark.parametrize(
         "argv", [["100000000000000"], ["1099511627791", "--t", "1"]]
     )

@@ -6,6 +6,7 @@ all vertices, and against the vertex-level bitmask BFS in bitmask_oracle;
 neither shares code with the production path.
 """
 
+import importlib
 import itertools
 import math
 import random
@@ -24,9 +25,13 @@ from icg.distance import (
     levels_from_zero,
 )
 from icg.errors import DomainError, ResourceLimitError
+from icg.extremal import saxena_family
 from icg.numtheory import factorize, proper_divisors
 
 from bitmask_oracle import symbol_mask, vertex_levels
+
+# The package re-exports the function ``distance`` under the module's name.
+distance_module = importlib.import_module("icg.distance")
 
 
 class TestAgainstOracle:
@@ -187,6 +192,27 @@ class TestDistance:
         inst = make_instance(12, [3, 4])
         with pytest.raises(DomainError):
             distance(inst, 0, 12)
+
+    def test_repeated_calls_build_one_divisor_classes(self, monkeypatch):
+        # The 14 path checks on Saxena k = 6 in acceptance 6: building the
+        # step rows costs far more than the BFS, so the calls share them.
+        n, ds, _ = saxena_family((3, 5, 7, 11, 13, 17))
+        g = make_instance(n, ds.divisors)
+        path = diameter(g).witness_path
+        built = []
+
+        class CountingClasses(DivisorClasses):
+            def __init__(self, f):
+                built.append(f.n)
+                super().__init__(f)
+
+        monkeypatch.setattr(distance_module, "DivisorClasses", CountingClasses)
+        distance_module._shared_classes.cache_clear()
+        try:
+            assert [distance(g, 0, v) for v in path] == list(range(14))
+        finally:
+            distance_module._shared_classes.cache_clear()
+        assert built == [n]
 
 
 @st.composite

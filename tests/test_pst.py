@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from icg.canonical import separation_witness
+from icg.canonical import divisor_subsets, separation_witness
 from icg.core import DivisorSet, make_divisor_set
-from icg.errors import DomainError
+from icg.errors import DomainError, ResourceLimitError
 from icg.numtheory import factorize, proper_divisors
 from icg.pst import enumerate_pst_sets, pst_admissible, pst_never_maximal
 
@@ -32,6 +32,21 @@ def reference_admissible(n, divisors):
         if union == dset:
             return True
     return False
+
+
+def filter_pst_sets(f, max_size=None):
+    """``pst_admissible`` over every subset of at most max_size proper
+    divisors, by size and then lexicographically: the reference for
+    ``enumerate_pst_sets``."""
+    if f.n % 4 != 0:
+        return []
+    out = []
+    for combo in divisor_subsets(f.n, 1, max_size):
+        ds = DivisorSet(f.n, combo)
+        dec = pst_admissible(f, ds)
+        if dec is not None:
+            out.append((ds, dec))
+    return out
 
 
 class TestPstAdmissible:
@@ -111,6 +126,24 @@ class TestEnumerate:
         f = factorize(48)
         capped = enumerate_pst_sets(f, max_size=2)
         assert all(len(ds.divisors) <= 2 for ds, _ in capped)
+
+    def test_matches_subset_filter(self):
+        # Same sets and decompositions, in the same order: capped at k for
+        # every multiple of 4 up to 1200, uncapped up to 300.
+        for n in range(4, 1201, 4):
+            f = factorize(n)
+            assert enumerate_pst_sets(f, f.k) == filter_pst_sets(f, f.k), n
+            if n <= 300:
+                assert enumerate_pst_sets(f) == filter_pst_sets(f), n
+
+    def test_refuses_what_the_filter_refuses(self):
+        # 3072 has 21 proper divisors, so 2^21 - 1 subsets in all.
+        f = factorize(3072)
+        with pytest.raises(ResourceLimitError) as expected:
+            filter_pst_sets(f)
+        with pytest.raises(ResourceLimitError) as got:
+            enumerate_pst_sets(f)
+        assert str(got.value) == str(expected.value)
 
 
 # Orders up to 128 where some connected admissible set with |D| <= k does
