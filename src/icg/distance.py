@@ -15,6 +15,12 @@ This is the gcd-graph view of Klotz and Sander, "Some properties of unitary
 Cayley graphs" (EJC 2007).  The smallest vertex of class g < n is g itself,
 so diameters and their witness vertices are read off the class distances.
 
+The BFS reads one successor row per divisor set D: entry i is the mask of
+classes that one symbol of D takes class i to.  It is the OR of the rows
+of D's symbol classes (``DivisorClasses.reach``), each built once per order
+from cached per-prime layers, so a BFS does one OR per frontier class.
+``verify`` carries the row of each set down its search to the extensions.
+
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
 The candidates of class c reached by a symbol of class e are the
@@ -30,8 +36,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import or_
+from types import MappingProxyType
 
 from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
@@ -78,9 +87,11 @@ class DivisorClasses:
     Class index i has the digit (i // stride_p) % (a_p + 1) = v_p of its
     divisor for each prime p, smallest prime in the lowest digit, so a set
     of classes is one bitmask integer.  Index 0 is the class 1 and the top
-    index is the class n, i.e. vertex 0.  Successor masks are built per
-    symbol class on first use, one prime digit at a time, and kept, so one
-    instance serves every divisor set of the same order.
+    index is the class n, i.e. vertex 0.  A successor row maps each class
+    index to the mask of classes one step away.  The row of one symbol
+    class is built from cached per-prime layers on first use and kept, so
+    one instance serves every divisor set of the same order; the row of a
+    divisor set is the elementwise OR of its members' rows, ``reach``.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -100,26 +111,43 @@ class DivisorClasses:
         of class d to a vertex of that class can reach.
 
         The reachable classes are a product over primes of the valuations
-        the sum can take, so the row is built one prime at a time.  Before
-        prime p it holds the masks of the stride_p classes of the smaller
-        primes.  Each is multiplied, per valuation v_p of the vertex, by
-        the mask with bit e * stride_p set for each v_p of the sum that the
-        per-prime rules in the module docstring allow.  The earlier masks
-        lie below bit stride_p, so each product is a union of shifted
+        the sum can take, so the row is the outer product of one layer per
+        prime, see ``_layer``.  Before prime p the row holds the masks of
+        the stride_p classes of the smaller primes; they lie below bit
+        stride_p, so each product with a layer mask is a union of shifted
         copies.
         """
         row = self._steps.get(d)
         if row is None:
             row = [1]
             for (p, a), s in zip(self._factors, self._strides):
-                j = self.index[d] // s % (a + 1)
-                valuations = [
-                    [min(i, j)] if i != j else [a] if i == a else range(i + (p == 2), a + 1)
-                    for i in range(a + 1)
-                ]
-                row = [m * sum(1 << (e * s) for e in es) for es in valuations for m in row]
+                layer = _layer(p == 2, a, self.index[d] // s % (a + 1), s)
+                row = [m * mask for mask in layer for m in row]
             row = self._steps[d] = tuple(row)
         return row
+
+    def reach(self, divisors) -> list[int]:
+        """The successor row of the divisor set: for each class index, the
+        mask of classes that one symbol of any class in divisors reaches."""
+        row = [0] * len(self.divisors)
+        for d in divisors:
+            row = list(map(or_, row, self.step(d)))
+        return row
+
+
+@lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND
+def _layer(two: bool, a: int, j: int, stride: int) -> tuple[int, ...]:
+    """For each valuation i = 0..a of a vertex at a prime with exponent a,
+    the mask with bit e * stride set for each valuation e of the sum with a
+    symbol of valuation j that the per-prime rules of the module docstring
+    allow; two marks the prime 2."""
+    return tuple(
+        sum(
+            1 << (e * stride)
+            for e in ([min(i, j)] if i != j else [a] if i == a else range(i + two, a + 1))
+        )
+        for i in range(a + 1)
+    )
 
 
 def _bits(mask: int):
@@ -130,17 +158,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def levels_from_zero(classes: DivisorClasses, divisors) -> list[int]:
+def levels_from_zero(row) -> list[int]:
     """Bitmask of newly reached classes per BFS level, starting at the
-    class of vertex 0; bit i stands for ``classes.divisors[i]``."""
-    rows = [classes.step(d) for d in divisors]
-    frontier = reached = 1 << (len(classes.divisors) - 1)
+    class of vertex 0, for the successor row of a divisor set (see
+    ``DivisorClasses.reach``); bit i stands for class index i."""
+    frontier = reached = 1 << (len(row) - 1)
     levels = [frontier]
     while True:
         nxt = 0
-        for i in _bits(frontier):
-            for row in rows:
-                nxt |= row[i]
+        rest = frontier
+        while rest:  # _bits inlined: this loop is the verify sweep's hot spot
+            low = rest & -rest
+            nxt |= row[low.bit_length() - 1]
+            rest ^= low
         frontier = nxt & ~reached
         if not frontier:
             return levels
@@ -148,31 +178,35 @@ def levels_from_zero(classes: DivisorClasses, divisors) -> list[int]:
         levels.append(frontier)
 
 
-def class_diameter(classes: DivisorClasses, divisors) -> int | None:
-    """Diameter of ICG_n(D) for D = divisors; None when some class is
-    not reached."""
-    levels = levels_from_zero(classes, divisors)
-    if sum(levels) != (1 << len(classes.divisors)) - 1:
+def class_diameter(row) -> int | None:
+    """Diameter of ICG_n(D) for the successor row of D; None when some
+    class is not reached."""
+    levels = levels_from_zero(row)
+    if sum(levels) != (1 << len(row)) - 1:
         return None
     return len(levels) - 1
 
 
 @lru_cache(maxsize=8)
 def _shared_classes(f: Factorization) -> DivisorClasses:
-    """One DivisorClasses per recent order, so that repeated ``distance``
-    and ``bfs_profile`` calls on one order build its step rows once."""
+    """One DivisorClasses per recent order, so that ``distance`` and
+    ``bfs_profile`` calls on several sets of one order build its step rows
+    once."""
     return DivisorClasses(f)
 
 
-def _class_distances(g: IcgInstance) -> dict[int, int | None]:
+@lru_cache(maxsize=8)
+def _class_distances(g: IcgInstance) -> Mapping[int, int | None]:
     """d(0, x) keyed by gcd(x, n), with n for vertex 0; None marks an
-    unreachable class."""
+    unreachable class.  Kept for the recent instances, so repeated
+    ``distance`` calls on one graph run one BFS; the mapping is read-only
+    because every caller shares it."""
     classes = _shared_classes(g.factorization)
     dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
-    for d, m in enumerate(levels_from_zero(classes, g.divisor_set.divisors)):
+    for d, m in enumerate(levels_from_zero(classes.reach(g.divisor_set.divisors))):
         for i in _bits(m):
             dist[classes.divisors[i]] = d
-    return dist
+    return MappingProxyType(dist)
 
 
 def bfs_profile(g: IcgInstance) -> DistanceProfile:
@@ -218,7 +252,7 @@ def diameter(g: IcgInstance) -> DiameterResult:
     """
     classes = DivisorClasses(g.factorization)
     divisors = g.divisor_set.divisors
-    levels = levels_from_zero(classes, divisors)
+    levels = levels_from_zero(classes.reach(divisors))
     if not is_connected(g.divisor_set):
         reached = sum(levels)
         witness = min(c for i, c in enumerate(classes.divisors) if not reached >> i & 1)

@@ -429,10 +429,10 @@ def lift_diameter_small(m: int, ds: DivisorSet, base_diam: int, n_prime: int) ->
     # two symbols.
     g = make_instance(m, ds.divisors)
     classes = DivisorClasses(g.factorization)
+    row = classes.reach(g.divisor_set.divisors)
     sums = 0
     for d in g.divisor_set.divisors:
-        for e in g.divisor_set.divisors:
-            sums |= classes.step(e)[classes.index[d]]
+        sums |= row[classes.index[d]]
     top = 1 << (len(classes.divisors) - 1)
     return 2 if sums | top == 2 * top - 1 else 3
 

@@ -108,6 +108,6 @@ def pst_never_maximal(f: Factorization) -> bool:
     bound = predict_overall_max(f).value
     classes = DivisorClasses(f)
     for ds, _dec in enumerate_pst_sets(f, max_size=f.k):
-        if is_connected(ds) and class_diameter(classes, ds.divisors) == bound:
+        if is_connected(ds) and class_diameter(classes.reach(ds.divisors)) == bound:
             return False
     return True

@@ -13,7 +13,9 @@ order.  Each connected set gets a BFS diameter, which bounds the diameter
 of every extension; the extensions are skipped when it is no more than the
 record of every larger size.  A skipped set cannot strictly improve a
 record, so each witness is still the first set, by size then
-lexicographically, to reach its maximum, as over the full power set.  An
+lexicographically, to reach its maximum, as over the full power set.  Each
+set's successor row, which is all its BFS reads, is its parent's row ORed
+with the step row of its last divisor, so no set rebuilds it.  An
 order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
 before any BFS, although the search runs a BFS on far fewer of them.
 
@@ -31,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from operator import or_
 
 from .canonical import enumerate_separated, subset_sizes
 from .core import make_instance
@@ -83,15 +86,18 @@ def verify_order(n: int) -> list[VerificationRecord]:
     subset_sizes(n, divisors, 1, k)
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # t -> (max diam, witness)
 
-    def extend(prefix: tuple[int, ...], prefix_gcd: int, start: int) -> None:
+    def extend(prefix: tuple[int, ...], prefix_gcd: int, prefix_row: list[int], start: int) -> None:
         """Visit each set prefix + (d,) with d from divisors[start:], then
-        its extensions."""
+        its extensions; prefix_row is the successor row of prefix."""
         size = len(prefix) + 1
         for i in range(start, len(divisors)):
-            node = prefix + (divisors[i],)
             node_gcd = math.gcd(prefix_gcd, divisors[i])
+            if node_gcd != 1 and size == k:
+                continue  # no BFS and no extensions: its row is never read
+            node = prefix + (divisors[i],)
+            row = list(map(or_, prefix_row, classes.step(divisors[i])))
             if node_gcd == 1:
-                diam = class_diameter(classes, node)
+                diam = class_diameter(row)
                 if diam is None:
                     raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                 if size not in best or diam > best[size][0]:
@@ -100,9 +106,9 @@ def verify_order(n: int) -> list[VerificationRecord]:
                 if all(s in best and diam <= best[s][0] for s in range(size + 1, k + 1)):
                     continue
             if size < k:
-                extend(node, node_gcd, i + 1)
+                extend(node, node_gcd, row, i + 1)
 
-    extend((), 0, 0)
+    extend((), 0, classes.reach(()), 0)
     records = []
     for t in range(1, k + 1):
         predicted = predict_max_for_t(f, t)

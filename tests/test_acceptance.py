@@ -155,7 +155,7 @@ def test_criterion_06_two_t_plus_one_tightness(capsys):
                     continue
                 dv = diameter_of_symbol_mask(n, sum(masks[d] for d in combo))
                 assert dv < 2 * size + 1, (n, combo, dv)
-                assert class_diameter(classes, combo) == dv, (n, combo)
+                assert class_diameter(classes.reach(combo)) == dv, (n, combo)
     announce(
         capsys,
         "acceptance 6 PASS: tight family diameters 3/5/7/9/11/13 with valid witness paths; "

@@ -6,9 +6,11 @@ all vertices, and against the vertex-level bitmask BFS in bitmask_oracle;
 neither shares code with the production path.
 """
 
+import functools
 import importlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -194,25 +196,37 @@ class TestDistance:
             distance(inst, 0, 12)
 
     def test_repeated_calls_build_one_divisor_classes(self, monkeypatch):
-        # The 14 path checks on Saxena k = 6 in acceptance 6: building the
-        # step rows costs far more than the BFS, so the calls share them.
+        # The 14 path checks on Saxena k = 6 in acceptance 6 share one set
+        # of step rows and one class BFS.
         n, ds, _ = saxena_family((3, 5, 7, 11, 13, 17))
         g = make_instance(n, ds.divisors)
         path = diameter(g).witness_path
         built = []
+        searched = []
 
         class CountingClasses(DivisorClasses):
             def __init__(self, f):
                 built.append(f.n)
                 super().__init__(f)
 
+        def counting_levels(row):
+            searched.append(len(row))
+            return levels_from_zero(row)
+
         monkeypatch.setattr(distance_module, "DivisorClasses", CountingClasses)
+        monkeypatch.setattr(distance_module, "levels_from_zero", counting_levels)
         distance_module._shared_classes.cache_clear()
+        distance_module._class_distances.cache_clear()
         try:
             assert [distance(g, 0, v) for v in path] == list(range(14))
+            # Every caller gets the same mapping, so none may change it.
+            with pytest.raises(TypeError):
+                distance_module._class_distances(g)[1] = 0
         finally:
             distance_module._shared_classes.cache_clear()
+            distance_module._class_distances.cache_clear()
         assert built == [n]
+        assert len(searched) == 1
 
 
 @st.composite
@@ -250,7 +264,7 @@ class TestLevels:
         inst = make_instance(30, [2, 3])
         classes = DivisorClasses(inst.factorization)
         assert sorted(classes.divisors) == [*proper_divisors(30), 30]
-        levels = levels_from_zero(classes, inst.divisor_set.divisors)
+        levels = levels_from_zero(classes.reach(inst.divisor_set.divisors))
         seen = 0
         for lvl in levels:
             assert lvl & seen == 0
@@ -262,7 +276,7 @@ class TestLevels:
         # Vertex x sits on the level of its class gcd(x, n), connected or not.
         for n, dset in [(30, [2, 3]), (72, [8, 9]), (100, [4, 25, 10]), (48, [6, 16]), (90, [6, 10])]:
             classes = DivisorClasses(make_instance(n, dset).factorization)
-            class_levels = levels_from_zero(classes, dset)
+            class_levels = levels_from_zero(classes.reach(dset))
             vertex = vertex_levels(n, symbol_mask(n, dset))
             assert len(class_levels) == len(vertex), (n, dset)
             for cmask, vmask in zip(class_levels, vertex):
@@ -288,6 +302,21 @@ class TestStepRows:
                     for s in symbols:
                         expected |= 1 << classes.index[math.gcd(g + s, n)]
                     assert row[classes.index[g]] == expected, (n, d, g)
+
+
+    def test_reach_is_or_of_steps(self):
+        # The row of a set is what one symbol of any of its classes reaches.
+        for n in range(2, 121):
+            classes = DivisorClasses(factorize(n))
+            divs = proper_divisors(n)
+            assert classes.reach(()) == [0] * len(classes.divisors)
+            for size in (1, 2, 3):
+                for combo in itertools.combinations(divs, size):
+                    expected = [
+                        functools.reduce(operator.or_, masks)
+                        for masks in zip(*(classes.step(d) for d in combo))
+                    ]
+                    assert classes.reach(combo) == expected, (n, combo)
 
 
 class TestOracleLimits:

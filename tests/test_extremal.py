@@ -326,7 +326,7 @@ class TestUntouchedPrime:
         v = check_untouched_prime(f, ds)
         assert (v.touched, v.untouched) == (105, 2)
         assert not v.attains and v.matched_condition is None
-        assert class_diameter(DivisorClasses(f), ds.divisors) == r_of(f) == 4
+        assert class_diameter(DivisorClasses(f).reach(ds.divisors)) == r_of(f) == 4
 
     def test_all_touched_rejected(self):
         with pytest.raises(DomainError):
@@ -454,7 +454,7 @@ class TestWorstVertex:
                     continue
                 variant = "II" if matched.endswith("ii") else "I"
                 l0 = worst_vertex(f, ds, w, variant)
-                levels = levels_from_zero(classes, ds.divisors)
+                levels = levels_from_zero(classes.reach(ds.divisors))
                 dist = next(d for d, m in enumerate(levels)
                             if m >> classes.index[math.gcd(l0, n)] & 1)
                 assert dist == r_of(f), (n, ds.divisors, variant)
@@ -523,10 +523,10 @@ class TestLift:
             lifted = DivisorClasses(factorize(m * n_prime))
             for size in (1, 2, 3):
                 for combo in combinations(proper_divisors(m), size):
-                    if math.gcd(*combo) != 1 or class_diameter(base, combo) != 2:
+                    if math.gcd(*combo) != 1 or class_diameter(base.reach(combo)) != 2:
                         continue
                     got = lift_diameter_small(m, DivisorSet(m, combo), 2, n_prime)
-                    assert got == class_diameter(lifted, combo), (m, combo, n_prime)
+                    assert got == class_diameter(lifted.reach(combo)), (m, combo, n_prime)
                     checked += 1
         assert checked == 1745
 

@@ -1,5 +1,6 @@
 """Tests for the verification harness."""
 
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -34,7 +35,7 @@ def naive_maxima(n):
         for combo in combinations(divs, size):
             if math.gcd(*combo) != 1:
                 continue
-            dv = class_diameter(classes, combo)
+            dv = class_diameter(classes.reach(combo))
             if dv > per_t.get(size, (0, ()))[0]:
                 per_t[size] = (dv, combo)
             if dv > overall[0]:
@@ -53,7 +54,7 @@ def flat_records(n):
     for combo in divisor_subsets(n, 1, f.k):
         if math.gcd(*combo) != 1:
             continue
-        dv = class_diameter(classes, combo)
+        dv = class_diameter(classes.reach(combo))
         if len(combo) not in best or dv > best[len(combo)][0]:
             best[len(combo)] = (dv, combo)
     rows = [(t, predict_max_for_t(f, t), *best[t]) for t in range(1, f.k + 1)]
@@ -151,6 +152,41 @@ class TestPrunedSearch:
         # prediction by one, as the orders 2 p^a q up to 1000 do.
         assert record_rows(verify_order(n)) == expected
 
+    def test_bfs_reads_the_row_of_its_set(self, monkeypatch):
+        # Each BFS gets the row its set's DFS ancestors built up, which
+        # must be the set's own row; the sets searched are those of the
+        # pruned search, rebuilt here from rows made per set.
+        for n in range(2, 401):
+            f = factorize(n)
+            classes = DivisorClasses(f)
+            divs = proper_divisors(n)
+            expected = []
+            best = {}
+
+            def extend(prefix, start):
+                for i in range(start, len(divs)):
+                    node = prefix + (divs[i],)
+                    if math.gcd(*node) == 1:
+                        row = classes.reach(node)
+                        expected.append(row)
+                        diam = class_diameter(row)
+                        best[len(node)] = max(best.get(len(node), 0), diam)
+                        if all(diam <= best.get(s, 0) for s in range(len(node) + 1, f.k + 1)):
+                            continue
+                    if len(node) < f.k:
+                        extend(node, i + 1)
+
+            extend((), 0)
+            received = []
+
+            def spy(row):
+                received.append(list(row))
+                return class_diameter(row)
+
+            monkeypatch.setattr(icg.verify, "class_diameter", spy)
+            verify_order(n)
+            assert received == expected, n
+
     def test_guard_refuses_before_any_bfs(self, monkeypatch):
         # 20790 = 2 3^3 5 7 11 has 63 proper divisors, hence 7,666,239
         # sets with at most k = 5 of them.
@@ -184,6 +220,12 @@ class TestKnownCounterexamples:
 
 
 class TestVerifyRange:
+    def test_sweep_to_1000_pinned(self):
+        # SHA-256 of the report before verify_order carried successor rows
+        # down its search.
+        digest = hashlib.sha256(verify_range(2, 1000).to_json().encode()).hexdigest()
+        assert digest == "8f44c1ebeb244957e4cabe8d052f754f1b8673a955e273afb05695fbf9d1a6e5"
+
     def test_small_range_no_mismatch(self):
         report = verify_range(2, 40)
         assert report.mismatches == ()
