@@ -23,11 +23,10 @@ depend only on k and t.  Every enumeration of divisor subsets is sized by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
 from operator import and_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import DivisorSet, make_divisor_set
 from .errors import DomainError, ResourceLimitError
@@ -38,8 +37,7 @@ from .numtheory import Factorization, factorize, proper_divisors
 MAX_SUBSETS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(NamedTuple):
     """Assignment divisor -> dedicated prime.
 
     For each (d, p) pair: p does not divide d, and p divides every other

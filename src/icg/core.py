@@ -10,22 +10,20 @@ n - 1 candidates and is built only when asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .numtheory import Factorization, euler_phi, factorize
 
 
-@dataclass(frozen=True)
-class DivisorSet:
+class DivisorSet(NamedTuple):
     """A validated, ascending set of proper divisors of n."""
 
     n: int
     divisors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IcgInstance:
+class IcgInstance(NamedTuple):
     """An integral circulant graph, defined by order n and divisor set D."""
 
     factorization: Factorization

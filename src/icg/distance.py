@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import or_
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
@@ -50,16 +50,14 @@ from .numtheory import Factorization
 ORACLE_BOUND = 5000
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """Shortest-path distances from vertex 0; None marks unreachable."""
 
     n: int
     dist: tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class DiameterResult:
+class DiameterResult(NamedTuple):
     """Diameter with a deterministic witness.
 
     value is None for a disconnected graph (infinite diameter); then

@@ -16,8 +16,8 @@ coprime order extension, and the tight 2k+1 family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .canonical import SeparationWitness, eligible_primes, separation_witness
 from .core import DivisorSet, make_divisor_set, make_instance
@@ -46,8 +46,7 @@ class CaseLabel(str, Enum):
     OVERALL_R_PLUS_1 = "OVERALL_R_PLUS_1"
 
 
-@dataclass(frozen=True)
-class MaxDiameterPrediction:
+class MaxDiameterPrediction(NamedTuple):
     value: int
     case_label: CaseLabel
     applicable: bool = True
@@ -60,8 +59,7 @@ class MaxDiameterPrediction:
         }
 
 
-@dataclass(frozen=True)
-class ExtremalVerdict:
+class ExtremalVerdict(NamedTuple):
     attains: bool
     matched_condition: str | None = None
 
@@ -69,8 +67,7 @@ class ExtremalVerdict:
         return {"attains": self.attains, "matched_condition": self.matched_condition}
 
 
-@dataclass(frozen=True)
-class UntouchedPrimeVerdict:
+class UntouchedPrimeVerdict(NamedTuple):
     """Verdict for divisor sets leaving at least one prime of n untouched."""
 
     attains: bool  # attains r(n) for the full order n
@@ -91,8 +88,7 @@ class UntouchedPrimeVerdict:
         }
 
 
-@dataclass(frozen=True)
-class SummandRepresentation:
+class SummandRepresentation(NamedTuple):
     """l = d*(y_1 + y_2 [+ 1]) (mod n) with gcd(d*y_i, n) = d."""
 
     d: int

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -33,8 +32,7 @@ _SMALL_PRIMES = tuple(
 _MR_BASES = (2, 3, 5, 7, 11)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n together with its ordered prime-power decomposition."""
 
     n: int
@@ -45,18 +43,16 @@ class Factorization:
         """Number of distinct prime factors."""
         return len(self.factors)
 
-    # Cached in the instance __dict__; == and hash still read only the fields.
-    @cached_property
+    @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @cached_property
+    @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(a for _, a in self.factors)
 
 
-@dataclass(frozen=True)
-class CrtSystem:
+class CrtSystem(NamedTuple):
     """A system of congruences x = r_i (mod m_i) with pairwise coprime moduli."""
 
     congruences: tuple[tuple[int, int], ...]  # ((residue, modulus), ...)

@@ -13,8 +13,8 @@ D2 from their pools of proper divisors, instead of testing every subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .canonical import subset_sizes
 from .core import DivisorSet, is_connected
@@ -24,8 +24,7 @@ from .extremal import predict_overall_max
 from .numtheory import Factorization, proper_divisors
 
 
-@dataclass(frozen=True)
-class PstDecomposition:
+class PstDecomposition(NamedTuple):
     d3tilde: tuple[int, ...]
     d2: tuple[int, ...]
     two_d2: tuple[int, ...]

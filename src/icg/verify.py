@@ -25,15 +25,12 @@ sweep completes, and the caller decides the exit status.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
 from operator import or_
+from typing import NamedTuple
 
 from .canonical import enumerate_separated, subset_sizes
 from .core import make_instance
@@ -48,8 +45,7 @@ class Status(str, Enum):
     MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     n: int
     t: int | None  # None = overall (all cardinalities)
     predicted: MaxDiameterPrediction
@@ -123,8 +119,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(NamedTuple):
     n_lo: int
     n_hi: int
     records: tuple[VerificationRecord, ...]
@@ -151,12 +146,10 @@ class RangeReport:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "t", "predicted", "observed", "status"])
-        for r in self.records:
-            writer.writerow(r.to_csv_row())
-        return buf.getvalue()
+        # Every cell is an int or a bare word, so none needs quoting.
+        lines = ["n,t,predicted,observed,status"]
+        lines += (",".join(map(str, r.to_csv_row())) for r in self.records)
+        return "\n".join(lines) + "\n"
 
 
 def verify_range(
@@ -165,14 +158,24 @@ def verify_range(
     jobs: int = 1,
     fail_fast: bool = False,
 ) -> RangeReport:
-    """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs."""
+    """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs.
+
+    With more than one worker the orders run in a process pool, which is
+    imported here and only then, so importing icg loads no pool machinery.
+    """
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
     # The pool may fork all its workers at once: start no more than orders.
     workers = min(jobs, len(orders))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(max_workers=workers)
+    else:
+        context = nullcontext()
     records: list[VerificationRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with context as pool:
         for chunk in (map if pool is None else pool.map)(verify_order, orders):
             records.extend(chunk)
             if fail_fast and any(r.status is Status.MISMATCH for r in chunk):

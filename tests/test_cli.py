@@ -1,8 +1,13 @@
-"""Tests for the command-line interface, driven through main(argv)."""
+"""Tests for the command-line interface, driven through main(argv), and
+of what importing it loads."""
 
+import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +137,13 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "n,t,predicted,observed,status"
 
+    def test_csv_to_400_pinned(self, capsys):
+        # SHA-256 of the report as csv.writer wrote it; 270 and 378 mismatch.
+        code, out, _ = run(capsys, "--format", "csv", "verify", "2..400")
+        assert code == 1
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "dfdba7e561c05600de9c3a95714c18eebf2d2abf5ed78753e1cdcb99a21b63d0"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "9..3")
         assert code == 2
@@ -141,6 +153,48 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: n=20790 has 7666239 divisor subsets of size 1..5, cap is 1048576\n"
+
+
+class TestColdImport:
+    """What a fresh interpreter loads for ``import icg.cli`` and for a
+    pooled ``verify_range``."""
+
+    #: Modules that no command uses at import time.
+    UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "csv")
+
+    PROBE = """
+import json, sys
+
+def new_modules(action):
+    before = set(sys.modules)
+    result = action()
+    return result, sorted(set(sys.modules) - before)
+
+_, on_import = new_modules(lambda: __import__("icg.cli"))
+from icg.verify import verify_range
+serial, on_serial = new_modules(lambda: verify_range(2, 30, jobs=1))
+pooled, on_pooled = new_modules(lambda: verify_range(2, 30, jobs=2))
+print(json.dumps({"import": on_import, "serial": on_serial, "pooled": on_pooled,
+                  "same": serial == pooled}))
+"""
+
+    def unused(self, names):
+        return [m for m in names if any(m == u or m.startswith(u + ".") for u in self.UNUSED)]
+
+    def test_only_the_pool_path_loads_the_pool(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        # Modules the interpreter loaded at start-up are in no diff.
+        assert self.unused(loaded["import"]) == []
+        assert self.unused(loaded["serial"]) == []
+        assert loaded["same"]
+        assert "concurrent.futures.process" in loaded["pooled"]
 
 
 class TestEnumerate:
