@@ -59,8 +59,9 @@ def eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[in
     """For each divisor d, the primes of n dividing gcd(D - {d}) but not
     gcd(D): those not dividing d but dividing every other divisor."""
     g = math.gcd(*divisors)
+    primes = f.primes
     return [
-        [p for p in f.primes if loo % p == 0 and g % p != 0]
+        [p for p in primes if loo % p == 0 and g % p != 0]
         for loo in _leave_one_out_gcds(divisors)
     ]
 
@@ -161,8 +162,9 @@ def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     divisors = proper_divisors(n)
     subset_sizes(n, divisors, t, t)
     buckets: list[list[int]] = [[] for _ in range(1 << f.k)]
+    primes = f.primes
     for d in divisors:
-        buckets[sum(1 << i for i, p in enumerate(f.primes) if d % p == 0)].append(d)
+        buckets[sum(1 << i for i, p in enumerate(primes) if d % p == 0)].append(d)
     combos = sorted(
         tuple(sorted(combo))
         for masks in _separated_masks(f.k, t)

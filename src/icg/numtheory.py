@@ -45,11 +45,11 @@ class Factorization(NamedTuple):
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        return tuple([p for p, _ in self.factors])
 
     @property
     def exponents(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.factors)
+        return tuple([a for _, a in self.factors])
 
 
 class CrtSystem(NamedTuple):

@@ -19,6 +19,24 @@ with the step row of its last divisor, so no set rebuilds it.  An
 order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
 before any BFS, although the search runs a BFS on far fewer of them.
 
+The per-size maxima depend on n only through its signature: the exponent
+of 2 and the sorted exponents of the odd primes.  A bijection of the
+primes that keeps these maps the divisor sets of one order onto those of
+another, keeping sizes, connectivity and ``DivisorClasses.step``, which
+sees a prime only through p == 2 and its exponent.  The first order of a
+signature searched in a process stores its maxima in ``_MAXIMA``; with
+``jobs`` above 1 each pool worker fills its own copy.  A later order of
+the signature runs the same search with the known maxima as a floor: a
+set's extensions are skipped when each larger size holds a record they
+cannot beat or has a known maximum above the set's diameter, and a level
+of the search stops once its size and every larger one hold a set at its
+known maximum.  Only the first set, by size then lexicographically, to
+reach a size's maximum can be its witness, and no skip passes over one,
+so the witnesses do not change.  A search that ends with other maxima
+than the stored ones raises RuntimeError.  A stored maximum that is too
+low could end a search early unnoticed, so the signature alone must
+decide the maxima; the tests check that it does for every order to 1000.
+
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
 """
@@ -37,7 +55,7 @@ from .core import make_instance
 from .distance import DivisorClasses, apsp_oracle, class_diameter
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, predict_max_for_t, predict_overall_max
-from .numtheory import factorize, proper_divisors
+from .numtheory import Factorization, factorize, proper_divisors
 
 
 class Status(str, Enum):
@@ -73,6 +91,18 @@ class VerificationRecord(NamedTuple):
         ]
 
 
+#: Per-size maxima (t = 1..k) by exponent signature, filled by the first
+#: order of each signature that this process verifies.
+_MAXIMA: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
+
+def _signature(f: Factorization) -> tuple[int, tuple[int, ...]]:
+    """The exponent of 2 and the sorted exponents of the odd primes: all
+    that ``DivisorClasses.step`` reads of the primes of n."""
+    exponents = dict(f.factors)
+    return exponents.pop(2, 0), tuple(sorted(exponents.values()))
+
+
 def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
@@ -80,13 +110,23 @@ def verify_order(n: int) -> list[VerificationRecord]:
     k = f.k
     divisors = proper_divisors(n)
     subset_sizes(n, divisors, 1, k)
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}  # t -> (max diam, witness)
+    signature = _signature(f)
+    known = _MAXIMA.get(signature)
+    # floor[t] is the known maximum of size t, 0 while it is unknown.
+    floor = (0, *known) if known is not None else (0,) * (k + 1)
+    best = [(0, ())] * (k + 1)  # t -> (max diam, witness), (0, ()) before any set
+    # bar[t]: no set of size t with diameter <= bar[t] is the first to reach its maximum.
+    bar = [m - 1 for m in floor]
+    done = k + 1  # every size from done to k holds a set at its known maximum
 
     def extend(prefix: tuple[int, ...], prefix_gcd: int, prefix_row: list[int], start: int) -> None:
         """Visit each set prefix + (d,) with d from divisors[start:], then
         its extensions; prefix_row is the successor row of prefix."""
+        nonlocal done
         size = len(prefix) + 1
         for i in range(start, len(divisors)):
+            if size >= done:
+                return  # these sets and their extensions cannot change a record
             node_gcd = math.gcd(prefix_gcd, divisors[i])
             if node_gcd != 1 and size == k:
                 continue  # no BFS and no extensions: its row is never read
@@ -96,15 +136,25 @@ def verify_order(n: int) -> list[VerificationRecord]:
                 diam = class_diameter(row)
                 if diam is None:
                     raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
-                if size not in best or diam > best[size][0]:
+                if diam > best[size][0]:
                     best[size] = (diam, node)
-                # Every extension has diameter <= diam: none can beat a record.
-                if all(s in best and diam <= best[s][0] for s in range(size + 1, k + 1)):
+                    bar[size] = max(diam, bar[size])
+                    if diam == floor[size]:
+                        while done > 1 and best[done - 1][0] == floor[done - 1]:
+                            done -= 1
+                # Every extension has diameter <= diam: none can beat a
+                # record or reach a known maximum above diam.
+                if size == k or diam <= min(bar[size + 1 :]):
                     continue
             if size < k:
                 extend(node, node_gcd, row, i + 1)
 
     extend((), 0, classes.reach(()), 0)
+    maxima = tuple(diam for diam, _ in best[1:])
+    if known is None:
+        _MAXIMA[signature] = maxima
+    elif maxima != known:
+        raise RuntimeError(f"n={n}: maxima {maxima} differ from {known} of signature {signature}")
     records = []
     for t in range(1, k + 1):
         predicted = predict_max_for_t(f, t)
@@ -113,7 +163,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
         records.append(VerificationRecord(n, t, predicted, observed, witness, status))
     predicted = predict_overall_max(f)
     # The first strict maximum over sizes 1..k, smallest size first.
-    observed, witness = max((best[t] for t in range(1, k + 1)), key=lambda entry: entry[0])
+    observed, witness = max(best[1:], key=lambda entry: entry[0])
     status = Status.MATCH if predicted.value == observed else Status.MISMATCH
     records.append(VerificationRecord(n, None, predicted, observed, witness, status))
     return records

@@ -18,10 +18,15 @@ from icg.numtheory import factorize, proper_divisors
 from icg.verify import (
     RangeReport,
     Status,
+    _signature,
     verify_order,
     verify_range,
     verify_transitivity,
 )
+
+#: SHA-256 of verify_range(2, 1000).to_json() before verify_order carried
+#: successor rows down its search.
+SWEEP_1000_SHA256 = "8f44c1ebeb244957e4cabe8d052f754f1b8673a955e273afb05695fbf9d1a6e5"
 
 
 def naive_maxima(n):
@@ -156,37 +161,58 @@ class TestPrunedSearch:
     def test_bfs_reads_the_row_of_its_set(self, monkeypatch):
         # Each BFS gets the row its set's DFS ancestors built up, which
         # must be the set's own row; the sets searched are those of the
-        # pruned search, rebuilt here from rows made per set.
+        # pruned search, rebuilt here from rows made per set.  Each order
+        # is searched cold, then floored by the maxima the cold search
+        # stored for its signature.
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        received = []
+
+        def spy(row):
+            received.append(list(row))
+            return class_diameter(row)
+
+        monkeypatch.setattr(icg.verify, "class_diameter", spy)
         for n in range(2, 401):
             f = factorize(n)
             classes = DivisorClasses(f)
             divs = proper_divisors(n)
-            expected = []
-            best = {}
 
-            def extend(prefix, start):
-                for i in range(start, len(divs)):
-                    node = prefix + (divs[i],)
-                    if math.gcd(*node) == 1:
-                        row = classes.reach(node)
-                        expected.append(row)
-                        diam = class_diameter(row)
-                        best[len(node)] = max(best.get(len(node), 0), diam)
-                        if all(diam <= best.get(s, 0) for s in range(len(node) + 1, f.k + 1)):
-                            continue
-                    if len(node) < f.k:
-                        extend(node, i + 1)
+            def search(floor):
+                """The rows of the sets a search with known maxima floor
+                (t -> max, empty when cold) runs a BFS on, and its maxima."""
+                expected = []
+                best = {}
 
-            extend((), 0)
-            received = []
+                def extend(prefix, start):
+                    for i in range(start, len(divs)):
+                        if floor and all(
+                            best.get(s) == floor[s] for s in range(len(prefix) + 1, f.k + 1)
+                        ):
+                            return
+                        node = prefix + (divs[i],)
+                        if math.gcd(*node) == 1:
+                            row = classes.reach(node)
+                            expected.append(row)
+                            diam = class_diameter(row)
+                            best[len(node)] = max(best.get(len(node), 0), diam)
+                            if all(
+                                diam <= best.get(s, 0) or diam < floor.get(s, 0)
+                                for s in range(len(node) + 1, f.k + 1)
+                            ):
+                                continue
+                        if len(node) < f.k:
+                            extend(node, i + 1)
 
-            def spy(row):
-                received.append(list(row))
-                return class_diameter(row)
+                extend((), 0)
+                return expected, best
 
-            monkeypatch.setattr(icg.verify, "class_diameter", spy)
-            verify_order(n)
-            assert received == expected, n
+            cold, maxima = search({})
+            warm, _ = search(maxima)
+            icg.verify._MAXIMA.clear()
+            for expected in (cold, warm):
+                received.clear()
+                verify_order(n)
+                assert received == expected, n
 
     def test_guard_refuses_before_any_bfs(self, monkeypatch):
         # 20790 = 2 3^3 5 7 11 has 63 proper divisors, hence 7,666,239
@@ -199,6 +225,40 @@ class TestPrunedSearch:
             "n=20790 has 7666239 divisor subsets of size 1..5, cap is 1048576"
         )
         assert calls == []
+
+
+class TestSignatureMaxima:
+    """verify_order trusts the per-size maxima it stored for a signature:
+    a stored maximum that is too low could end a search early unnoticed."""
+
+    def test_orders_of_a_signature_share_maxima(self, monkeypatch):
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        maxima = {}
+        for n in range(2, 1001):
+            icg.verify._MAXIMA.clear()  # search every order cold
+            observed = tuple(r.observed_max for r in verify_order(n) if r.t is not None)
+            maxima.setdefault(_signature(factorize(n)), set()).add(observed)
+        assert len(maxima) == 67
+        assert {sig: found for sig, found in maxima.items() if len(found) > 1} == {}
+
+    def test_descending_orders_match_pinned_sweep(self, monkeypatch):
+        # Each signature's maxima now come from its largest order up to
+        # 1000 instead of its smallest.
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        chunks = {n: verify_order(n) for n in range(1000, 1, -1)}
+        report = RangeReport(2, 1000, tuple(r for n in range(2, 1001) for r in chunks[n]))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
+
+    def test_too_high_stored_maximum_raises(self, monkeypatch):
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        verify_order(30)
+        signature = _signature(factorize(42))
+        maxima = icg.verify._MAXIMA[signature]
+        assert signature == _signature(factorize(30)) and maxima == (3, 4, 3)
+        for t in range(len(maxima)):
+            icg.verify._MAXIMA[signature] = maxima[:t] + (maxima[t] + 1,) + maxima[t + 1 :]
+            with pytest.raises(RuntimeError, match="differ from"):
+                verify_order(42)
 
 
 class TestKnownCounterexamples:
@@ -222,10 +282,8 @@ class TestKnownCounterexamples:
 
 class TestVerifyRange:
     def test_sweep_to_1000_pinned(self):
-        # SHA-256 of the report before verify_order carried successor rows
-        # down its search.
         digest = hashlib.sha256(verify_range(2, 1000).to_json().encode()).hexdigest()
-        assert digest == "8f44c1ebeb244957e4cabe8d052f754f1b8673a955e273afb05695fbf9d1a6e5"
+        assert digest == SWEEP_1000_SHA256
 
     def test_csv_to_400_pinned(self):
         # SHA-256 of the report as csv.writer wrote it, before to_csv
