@@ -17,9 +17,18 @@ so diameters and their witness vertices are read off the class distances.
 
 The BFS reads one successor row per divisor set D: entry i is the mask of
 classes that one symbol of D takes class i to.  It is the OR of the rows
-of D's symbol classes (``DivisorClasses.reach``), each built once per order
-from cached per-prime layers, so a BFS does one OR per frontier class.
-``verify`` carries the row of each set down its search to the extensions.
+of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
+frontier class.  A step row depends on n only through its shape: whether
+2 | n and the exponents in ascending-prime order, which fix the class
+indices and the per-prime rules.  So 60, 84, 132 and 140 have the same
+rows, and each set of class indices has the same diameter in all four.
+One table per recent shape (``_shape_table``) keeps the step rows by
+class index, built from cached per-prime layers on first use, and the
+class-BFS diameters of the sets ``verify`` has measured, keyed by the
+bitmask of their class indices.  Every entry is a function of the shape
+and the index set alone, so a table is exact for every order of its
+shape.  ``verify`` reads a set's diameter from the table first and builds
+the set's row only when it misses.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -87,22 +96,27 @@ class DivisorClasses:
     of classes is one bitmask integer.  Index 0 is the class 1 and the top
     index is the class n, i.e. vertex 0.  A successor row maps each class
     index to the mask of classes one step away.  The row of one symbol
-    class is built from cached per-prime layers on first use and kept, so
-    one instance serves every divisor set of the same order; the row of a
-    divisor set is the elementwise OR of its members' rows, ``reach``.
+    class is built from cached per-prime layers on first use and kept in
+    the table of n's shape, so every instance of an order of that shape
+    shares it; the row of a divisor set is the elementwise OR of its
+    members' rows, ``reach``.  ``diameters`` is the shape's map from the
+    class-index bitmask of a connected set to its class-BFS diameter,
+    which ``verify`` reads and fills.
     """
 
     def __init__(self, f: Factorization) -> None:
         self._factors = f.factors
         self._strides = []
+        exponents = []
         divisors = [1]
         for p, a in f.factors:
             self._strides.append(len(divisors))
+            exponents.append(a)
             divisors = [d * p**e for e in range(a + 1) for d in divisors]
         #: divisors[i] is the divisor of class index i.
         self.divisors = tuple(divisors)
         self.index = {d: i for i, d in enumerate(divisors)}
-        self._steps: dict[int, tuple[int, ...]] = {}
+        self._steps, self.diameters = _shape_table(f.n % 2 == 0, tuple(exponents))
 
     def step(self, d: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
@@ -115,13 +129,14 @@ class DivisorClasses:
         stride_p, so each product with a layer mask is a union of shifted
         copies.
         """
-        row = self._steps.get(d)
+        i = self.index[d]
+        row = self._steps.get(i)
         if row is None:
             row = [1]
             for (p, a), s in zip(self._factors, self._strides):
-                layer = _layer(p == 2, a, self.index[d] // s % (a + 1), s)
+                layer = _layer(p == 2, a, i // s % (a + 1), s)
                 row = [m * mask for mask in layer for m in row]
-            row = self._steps[d] = tuple(row)
+            row = self._steps[i] = tuple(row)
         return row
 
     def reach(self, divisors) -> list[int]:
@@ -131,6 +146,14 @@ class DivisorClasses:
         for d in divisors:
             row = list(map(or_, row, self.step(d)))
         return row
+
+
+@lru_cache(maxsize=64)  # bounds memory on long sweeps; 2..150 has 34 shapes
+def _shape_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict]:
+    """The step rows by class index and the class-BFS diameters by
+    class-index bitmask of the orders of one shape: whether 2 divides n
+    and the exponents of n in ascending-prime order."""
+    return {}, {}
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND
@@ -159,10 +182,12 @@ def _bits(mask: int):
 def levels_from_zero(row) -> list[int]:
     """Bitmask of newly reached classes per BFS level, starting at the
     class of vertex 0, for the successor row of a divisor set (see
-    ``DivisorClasses.reach``); bit i stands for class index i."""
+    ``DivisorClasses.reach``); bit i stands for class index i.  The
+    search stops once every class is reached."""
+    full = (1 << len(row)) - 1
     frontier = reached = 1 << (len(row) - 1)
     levels = [frontier]
-    while True:
+    while reached != full:
         nxt = 0
         rest = frontier
         while rest:  # _bits inlined: this loop is the verify sweep's hot spot
@@ -174,6 +199,7 @@ def levels_from_zero(row) -> list[int]:
             return levels
         reached |= frontier
         levels.append(frontier)
+    return levels
 
 
 def class_diameter(row) -> int | None:
@@ -186,20 +212,12 @@ def class_diameter(row) -> int | None:
 
 
 @lru_cache(maxsize=8)
-def _shared_classes(f: Factorization) -> DivisorClasses:
-    """One DivisorClasses per recent order, so that ``distance`` and
-    ``bfs_profile`` calls on several sets of one order build its step rows
-    once."""
-    return DivisorClasses(f)
-
-
-@lru_cache(maxsize=8)
 def _class_distances(g: IcgInstance) -> Mapping[int, int | None]:
     """d(0, x) keyed by gcd(x, n), with n for vertex 0; None marks an
     unreachable class.  Kept for the recent instances, so repeated
     ``distance`` calls on one graph run one BFS; the mapping is read-only
     because every caller shares it."""
-    classes = _shared_classes(g.factorization)
+    classes = DivisorClasses(g.factorization)
     dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
     for d, m in enumerate(levels_from_zero(classes.reach(g.divisor_set.divisors))):
         for i in _bits(m):
@@ -214,14 +232,15 @@ def bfs_profile(g: IcgInstance) -> DistanceProfile:
     return DistanceProfile(n, tuple(dist[math.gcd(v, n)] for v in range(n)))
 
 
-def _step_towards_zero(classes: DivisorClasses, divisors, level: int, cur: int) -> int:
+def _step_towards_zero(classes: DivisorClasses, steps, level: int, cur: int) -> int:
     """Smallest vertex u in the classes of the bitmask level with
-    gcd(cur - u, n) in divisors; see ``diameter``."""
+    gcd(cur - u, n) = e for some pair (e, step(e)) of steps; see
+    ``diameter``."""
     n = classes.divisors[-1]
     gate = classes.index[math.gcd(cur, n)]
     best = n
-    for e in divisors:
-        for i in _bits(classes.step(e)[gate] & level):
+    for e, step in steps:
+        for i in _bits(step[gate] & level):
             c = classes.divisors[i]
             h = math.gcd(c, e)
             u = c * (cur // h * pow(c // h, -1, e // h) % (e // h))
@@ -257,8 +276,9 @@ def diameter(g: IcgInstance) -> DiameterResult:
         return DiameterResult(None, witness, None)
     witness = min(classes.divisors[i] for i in _bits(levels[-1]))
     path = [witness]
+    steps = [(e, classes.step(e)) for e in divisors]
     for level in reversed(levels[:-1]):
-        path.append(_step_towards_zero(classes, divisors, level, path[-1]))
+        path.append(_step_towards_zero(classes, steps, level, path[-1]))
     return DiameterResult(len(levels) - 1, witness, tuple(reversed(path)))
 
 

@@ -13,11 +13,20 @@ order.  Each connected set gets a BFS diameter, which bounds the diameter
 of every extension; the extensions are skipped when it is no more than the
 record of every larger size.  A skipped set cannot strictly improve a
 record, so each witness is still the first set, by size then
-lexicographically, to reach its maximum, as over the full power set.  Each
-set's successor row, which is all its BFS reads, is its parent's row ORed
-with the step row of its last divisor, so no set rebuilds it.  An
+lexicographically, to reach its maximum, as over the full power set.  An
 order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
 before any BFS, although the search runs a BFS on far fewer of them.
+
+A set's diameter is a function of the shape of n (whether 2 | n and the
+exponents in ascending-prime order) and of the class indices of its
+divisors, see ``icg.distance``.  The search carries each set's class-index
+bitmask and reads its diameter from the shape's table; only a set that
+misses runs a BFS, and the table keeps the result for every later order
+of the shape.  The successor row that BFS reads is built lazily: a set
+whose parent's row is known gets its row by one OR with the step row of
+its last divisor, and a level of the search with no known row builds its
+prefix's row once, on its first miss.  With ``jobs`` above 1 each pool
+worker fills its own tables.
 
 The per-size maxima depend on n only through its signature: the exponent
 of 2 and the sorted exponents of the odd primes.  A bijection of the
@@ -107,8 +116,10 @@ def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
     classes = DivisorClasses(f)
+    diameters = classes.diameters
     k = f.k
     divisors = proper_divisors(n)
+    bits = [1 << classes.index[d] for d in divisors]
     subset_sizes(n, divisors, 1, k)
     signature = _signature(f)
     known = _MAXIMA.get(signature)
@@ -119,9 +130,17 @@ def verify_order(n: int) -> list[VerificationRecord]:
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
 
-    def extend(prefix: tuple[int, ...], prefix_gcd: int, prefix_row: list[int], start: int) -> None:
+    def extend(
+        prefix: tuple[int, ...],
+        prefix_gcd: int,
+        prefix_mask: int,
+        prefix_row: list[int] | None,
+        start: int,
+    ) -> None:
         """Visit each set prefix + (d,) with d from divisors[start:], then
-        its extensions; prefix_row is the successor row of prefix."""
+        its extensions; prefix_mask has the class indices of prefix, and
+        prefix_row is its successor row, or None until a set here misses
+        the shape's diameters."""
         nonlocal done
         size = len(prefix) + 1
         for i in range(start, len(divisors)):
@@ -131,11 +150,18 @@ def verify_order(n: int) -> list[VerificationRecord]:
             if node_gcd != 1 and size == k:
                 continue  # no BFS and no extensions: its row is never read
             node = prefix + (divisors[i],)
-            row = list(map(or_, prefix_row, classes.step(divisors[i])))
+            mask = prefix_mask | bits[i]
+            row = None
             if node_gcd == 1:
-                diam = class_diameter(row)
+                diam = diameters.get(mask)
                 if diam is None:
-                    raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
+                    if prefix_row is None:
+                        prefix_row = classes.reach(prefix)
+                    row = list(map(or_, prefix_row, classes.step(divisors[i])))
+                    diam = class_diameter(row)
+                    if diam is None:
+                        raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
+                    diameters[mask] = diam
                 if diam > best[size][0]:
                     best[size] = (diam, node)
                     bar[size] = max(diam, bar[size])
@@ -146,10 +172,11 @@ def verify_order(n: int) -> list[VerificationRecord]:
                 # record or reach a known maximum above diam.
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
-            if size < k:
-                extend(node, node_gcd, row, i + 1)
+            if row is None and prefix_row is not None:
+                row = list(map(or_, prefix_row, classes.step(divisors[i])))
+            extend(node, node_gcd, mask, row, i + 1)
 
-    extend((), 0, classes.reach(()), 0)
+    extend((), 0, 0, None, 0)
     maxima = tuple(diam for diam, _ in best[1:])
     if known is None:
         _MAXIMA[signature] = maxima

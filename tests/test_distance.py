@@ -215,7 +215,6 @@ class TestDistance:
 
         monkeypatch.setattr(distance_module, "DivisorClasses", CountingClasses)
         monkeypatch.setattr(distance_module, "levels_from_zero", counting_levels)
-        distance_module._shared_classes.cache_clear()
         distance_module._class_distances.cache_clear()
         try:
             assert [distance(g, 0, v) for v in path] == list(range(14))
@@ -223,7 +222,6 @@ class TestDistance:
             with pytest.raises(TypeError):
                 distance_module._class_distances(g)[1] = 0
         finally:
-            distance_module._shared_classes.cache_clear()
             distance_module._class_distances.cache_clear()
         assert built == [n]
         assert len(searched) == 1
@@ -287,6 +285,41 @@ class TestLevels:
                 assert cmask == expected, (n, dset)
 
 
+def all_levels(row):
+    """levels_from_zero as it was before it stopped once every class is
+    reached: it expands the last frontier too and stops when nothing new
+    is found."""
+    frontier = reached = 1 << (len(row) - 1)
+    levels = [frontier]
+    while True:
+        nxt = 0
+        for i in range(len(row)):
+            if frontier >> i & 1:
+                nxt |= row[i]
+        frontier = nxt & ~reached
+        if not frontier:
+            return levels
+        reached |= frontier
+        levels.append(frontier)
+
+
+class TestLevelsEarlyExit:
+    def test_matches_full_loop_on_every_set(self):
+        # Every set of proper divisors of n <= 64, connected or not, and
+        # the empty set, whose BFS reaches only the class of vertex 0.
+        disconnected = 0
+        for n in range(2, 65):
+            classes = DivisorClasses(factorize(n))
+            divs = proper_divisors(n)
+            for size in range(len(divs) + 1):
+                for combo in itertools.combinations(divs, size):
+                    row = classes.reach(combo)
+                    levels = levels_from_zero(row)
+                    assert levels == all_levels(row), (n, combo)
+                    disconnected += sum(levels) != (1 << len(row)) - 1
+        assert disconnected > 0
+
+
 class TestStepRows:
     def test_rows_match_vertex_sums(self):
         # Bit c of step(d)[index[g]] is set exactly when some symbol s of
@@ -317,6 +350,23 @@ class TestStepRows:
                         for masks in zip(*(classes.step(d) for d in combo))
                     ]
                     assert classes.reach(combo) == expected, (n, combo)
+
+
+class TestShapeTable:
+    def test_orders_of_one_shape_share_rows(self):
+        # 60, 84, 132 and 140 are 4 p q: one row per class index for all.
+        rows = [DivisorClasses(factorize(n)) for n in (60, 84, 132, 140)]
+        for i in range(len(rows[0].divisors)):
+            steps = {id(c.step(c.divisors[i])) for c in rows}
+            assert len(steps) == 1, i
+        assert rows[0].diameters is rows[3].diameters
+
+    def test_shape_tells_two_apart(self):
+        # 6 = 2 * 3 and 15 = 3 * 5 have the same exponents, but adding two
+        # odd symbols of 6 never gives an odd vertex.
+        six, fifteen = DivisorClasses(factorize(6)), DivisorClasses(factorize(15))
+        assert six.diameters is not fifteen.diameters
+        assert six.step(1) != fifteen.step(1)
 
 
 class TestOracleLimits:

@@ -2,8 +2,10 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -24,9 +26,16 @@ from icg.verify import (
     verify_transitivity,
 )
 
+# The package re-exports the function ``distance`` under the module's name.
+distance_module = importlib.import_module("icg.distance")
+
 #: SHA-256 of verify_range(2, 1000).to_json() before verify_order carried
 #: successor rows down its search.
 SWEEP_1000_SHA256 = "8f44c1ebeb244957e4cabe8d052f754f1b8673a955e273afb05695fbf9d1a6e5"
+
+#: SHA-256 of verify_range(2, 3000).to_json() before verify_order read
+#: diameters from the shape tables.
+SWEEP_3000_SHA256 = "2bcc4988604344c16a4db97ade9041f41a7748572d5fe29a1a2cc8e984264f31"
 
 
 def naive_maxima(n):
@@ -163,7 +172,8 @@ class TestPrunedSearch:
         # must be the set's own row; the sets searched are those of the
         # pruned search, rebuilt here from rows made per set.  Each order
         # is searched cold, then floored by the maxima the cold search
-        # stored for its signature.
+        # stored for its signature.  Both searches start from an empty
+        # shape table, so that no diameter saves a BFS.
         monkeypatch.setattr(icg.verify, "_MAXIMA", {})
         received = []
 
@@ -211,6 +221,7 @@ class TestPrunedSearch:
             icg.verify._MAXIMA.clear()
             for expected in (cold, warm):
                 received.clear()
+                distance_module._shape_table.cache_clear()
                 verify_order(n)
                 assert received == expected, n
 
@@ -261,6 +272,81 @@ class TestSignatureMaxima:
                 verify_order(42)
 
 
+class TestShapeTable:
+    """verify_order reads each set's diameter from the table of its
+    order's shape before it runs a BFS."""
+
+    def test_served_diameters_are_exact(self, monkeypatch):
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        distance_module._shape_table.cache_clear()
+        served = []
+
+        class Checked:
+            """The shape's diameters, checking each one served against a
+            fresh BFS on the set in the order being searched."""
+
+            def __init__(self, classes):
+                self.classes = classes
+                self.table = classes.diameters
+
+            def get(self, mask):
+                diam = self.table.get(mask)
+                if diam is not None:
+                    node = [d for i, d in enumerate(self.classes.divisors) if mask >> i & 1]
+                    assert diam == class_diameter(self.classes.reach(node)), node
+                    served.append(self.classes.divisors[-1])
+                return diam
+
+            def __setitem__(self, mask, diam):
+                self.table[mask] = diam
+
+        class CheckedClasses(DivisorClasses):
+            def __init__(self, f):
+                super().__init__(f)
+                self.diameters = Checked(self)
+
+        monkeypatch.setattr(icg.verify, "DivisorClasses", CheckedClasses)
+        for n in range(2, 401):
+            verify_order(n)
+        # Most orders share their shape with an earlier one.
+        assert len(served) > 2000 and len(set(served)) > 300
+
+    def test_second_order_of_a_shape_skips_measured_sets(self, monkeypatch):
+        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a shape.  Both are
+        # searched without stored maxima.
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        distance_module._shape_table.cache_clear()
+        received = []
+
+        def spy(row):
+            received.append(row)
+            return class_diameter(row)
+
+        monkeypatch.setattr(icg.verify, "class_diameter", spy)
+        verify_order(84)
+        cold = len(received)
+        distance_module._shape_table.cache_clear()
+        icg.verify._MAXIMA.clear()
+        verify_order(60)
+        table = DivisorClasses(factorize(60)).diameters
+        measured = set(table)
+        assert len(measured) == len(received) - cold
+        received.clear()
+        icg.verify._MAXIMA.clear()
+        verify_order(84)
+        # Each BFS stores its set, so every BFS was on a set new to the table.
+        assert len(received) == len(set(table) - measured) < cold
+
+    def test_shuffled_cold_sweep_matches_pin(self, monkeypatch):
+        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        distance_module._shape_table.cache_clear()
+        orders = list(range(2, 1001))
+        random.Random(1000).shuffle(orders)
+        chunks = {n: verify_order(n) for n in orders}
+        report = RangeReport(2, 1000, tuple(r for n in sorted(chunks) for r in chunks[n]))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
+
+
 class TestKnownCounterexamples:
     def test_t_eq_k_mismatches_up_to_1000(self):
         # The t = k prediction r(n) is one short for these orders of the
@@ -284,6 +370,12 @@ class TestVerifyRange:
     def test_sweep_to_1000_pinned(self):
         digest = hashlib.sha256(verify_range(2, 1000).to_json().encode()).hexdigest()
         assert digest == SWEEP_1000_SHA256
+
+    def test_sweep_to_3000_pinned(self):
+        # k = 5 (2310), exponents of 3 or more, n = 2 (mod 4) and the t = k
+        # mismatches, with the shape tables warm from earlier orders.
+        digest = hashlib.sha256(verify_range(2, 3000).to_json().encode()).hexdigest()
+        assert digest == SWEEP_3000_SHA256
 
     def test_csv_to_400_pinned(self):
         # SHA-256 of the report as csv.writer wrote it, before to_csv
