@@ -18,17 +18,19 @@ so diameters and their witness vertices are read off the class distances.
 The BFS reads one successor row per divisor set D: entry i is the mask of
 classes that one symbol of D takes class i to.  It is the OR of the rows
 of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
-frontier class.  A step row depends on n only through its shape: whether
-2 | n and the exponents in ascending-prime order, which fix the class
-indices and the per-prime rules.  So 60, 84, 132 and 140 have the same
-rows, and each set of class indices has the same diameter in all four.
-One table per recent shape (``_shape_table``) keeps the step rows by
-class index, built from cached per-prime layers on first use, and the
-class-BFS diameters of the sets ``verify`` has measured, keyed by the
-bitmask of their class indices.  Every entry is a function of the shape
-and the index set alone, so a table is exact for every order of its
-shape.  ``verify`` reads a set's diameter from the table first and builds
-the set's row only when it misses.
+frontier class.  The class indices put 2 in the lowest digit, then the
+odd primes by ascending exponent, ties by prime, and the rules see a prime
+only through p == 2 and its exponent.  So a step row depends on n only
+through its exponent signature (whether 2 | n, the exponent of 2 and the
+sorted odd exponents): 60, 84, 132 and 140 have the same rows, and so do
+90 = 2 3^2 5 and 150 = 2 3 5^2.  One table per recent signature
+(``_exponent_table``) keeps the step rows by class index, built from
+cached per-prime layers on first use, the class-BFS diameters of the sets
+``verify`` has measured, keyed by the bitmask of their class indices, and
+``verify``'s per-size maxima.  Every entry is a function of the signature
+alone, so a table is exact for every order of its signature.  ``verify``
+reads a set's diameter from the table first and builds the set's row only
+when it misses.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -92,31 +94,36 @@ class DivisorClasses:
     """The divisor classes of Z_n, indexed in mixed radix.
 
     Class index i has the digit (i // stride_p) % (a_p + 1) = v_p of its
-    divisor for each prime p, smallest prime in the lowest digit, so a set
-    of classes is one bitmask integer.  Index 0 is the class 1 and the top
-    index is the class n, i.e. vertex 0.  A successor row maps each class
-    index to the mask of classes one step away.  The row of one symbol
-    class is built from cached per-prime layers on first use and kept in
-    the table of n's shape, so every instance of an order of that shape
-    shares it; the row of a divisor set is the elementwise OR of its
-    members' rows, ``reach``.  ``diameters`` is the shape's map from the
-    class-index bitmask of a connected set to its class-BFS diameter,
-    which ``verify`` reads and fills.
+    divisor for each prime p, so a set of classes is one bitmask integer.
+    The prime 2 takes the lowest digit, then the odd primes follow by
+    ascending exponent, ties by prime, so the index layout is the same for
+    every order of n's exponent signature.  Index 0 is the class 1 and the
+    top index is the class n, i.e. vertex 0.  A successor row maps each
+    class index to the mask of classes one step away.  The row of one
+    symbol class is built from cached per-prime layers on first use and
+    kept in the table of n's signature, so every instance of an order of
+    that signature shares it; the row of a divisor set is the elementwise
+    OR of its members' rows, ``reach``.  ``diameters`` is the signature's
+    map from the class-index bitmask of a connected set to its class-BFS
+    diameter, and ``maxima`` its per-size maximal diameters (t = 1..k,
+    empty until known); ``verify`` reads and fills both.
     """
 
     def __init__(self, f: Factorization) -> None:
-        self._factors = f.factors
+        # A stable sort: primes of one exponent stay ascending.
+        self._factors = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1]))
         self._strides = []
         exponents = []
         divisors = [1]
-        for p, a in f.factors:
+        for p, a in self._factors:
             self._strides.append(len(divisors))
             exponents.append(a)
             divisors = [d * p**e for e in range(a + 1) for d in divisors]
         #: divisors[i] is the divisor of class index i.
         self.divisors = tuple(divisors)
         self.index = {d: i for i, d in enumerate(divisors)}
-        self._steps, self.diameters = _shape_table(f.n % 2 == 0, tuple(exponents))
+        table = _exponent_table(f.n % 2 == 0, tuple(exponents))
+        self._steps, self.diameters, self.maxima = table
 
     def step(self, d: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
@@ -148,12 +155,13 @@ class DivisorClasses:
         return row
 
 
-@lru_cache(maxsize=64)  # bounds memory on long sweeps; 2..150 has 34 shapes
-def _shape_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict]:
-    """The step rows by class index and the class-BFS diameters by
-    class-index bitmask of the orders of one shape: whether 2 divides n
-    and the exponents of n in ascending-prime order."""
-    return {}, {}
+@lru_cache(maxsize=64)  # bounds memory; 2..3000 has 99 signatures, the 152 sweep orders 32
+def _exponent_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict, list]:
+    """The step rows by class index, the class-BFS diameters by
+    class-index bitmask and the per-size maxima of the orders of one
+    exponent signature: whether 2 divides n and its exponents in the digit
+    order of ``DivisorClasses``."""
+    return {}, {}, []
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND

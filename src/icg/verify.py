@@ -15,36 +15,29 @@ record of every larger size.  A skipped set cannot strictly improve a
 record, so each witness is still the first set, by size then
 lexicographically, to reach its maximum, as over the full power set.  An
 order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
-before any BFS, although the search runs a BFS on far fewer of them.
+before any BFS, although the search runs a BFS on far fewer of them, and
+a range that holds such an order is refused before any order is searched.
 
-A set's diameter is a function of the shape of n (whether 2 | n and the
-exponents in ascending-prime order) and of the class indices of its
-divisors, see ``icg.distance``.  The search carries each set's class-index
-bitmask and reads its diameter from the shape's table; only a set that
-misses runs a BFS, and the table keeps the result for every later order
-of the shape.  The successor row that BFS reads is built lazily: a set
-whose parent's row is known gets its row by one OR with the step row of
-its last divisor, and a level of the search with no known row builds its
-prefix's row once, on its first miss.  With ``jobs`` above 1 each pool
-worker fills its own tables.
+A set's diameter is a function of the exponent signature of n (whether
+2 | n, the exponent of 2 and the sorted odd exponents) and of the class
+indices of its divisors, see ``icg.distance``.  The search carries each
+set's class-index bitmask and reads its diameter from the signature's
+table; only a set that misses runs a BFS, and the table keeps the result
+for every later order of the signature.  The successor row that BFS reads
+is built lazily: a set whose parent's row is known gets its row by one OR
+with the step row of its last divisor, and a level of the search with no
+known row builds its prefix's row once, on its first miss.  With ``jobs``
+above 1 each pool worker fills its own tables.
 
-The per-size maxima depend on n only through its signature: the exponent
-of 2 and the sorted exponents of the odd primes.  A bijection of the
-primes that keeps these maps the divisor sets of one order onto those of
-another, keeping sizes, connectivity and ``DivisorClasses.step``, which
-sees a prime only through p == 2 and its exponent.  The first order of a
-signature searched in a process stores its maxima in ``_MAXIMA``; with
-``jobs`` above 1 each pool worker fills its own copy.  A later order of
-the signature runs the same search with the known maxima as a floor: a
-set's extensions are skipped when each larger size holds a record they
-cannot beat or has a known maximum above the set's diameter, and a level
-of the search stops once its size and every larger one hold a set at its
-known maximum.  Only the first set, by size then lexicographically, to
-reach a size's maximum can be its witness, and no skip passes over one,
-so the witnesses do not change.  A search that ends with other maxima
-than the stored ones raises RuntimeError.  A stored maximum that is too
-low could end a search early unnoticed, so the signature alone must
-decide the maxima; the tests check that it does for every order to 1000.
+The per-size maxima are a function of the signature too, so the first
+order of a signature searched in a process stores them in its table.  A
+later order runs the same search with them as a floor: a set's extensions
+are skipped when each larger size holds a record they cannot beat or has
+a known maximum above the set's diameter, and a level of the search stops
+once its size and every larger one hold a set at its known maximum.  Only
+the first set, by size then lexicographically, to reach a size's maximum
+can be its witness, and no skip passes over one, so the witnesses do not
+change.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -64,7 +57,7 @@ from .core import make_instance
 from .distance import DivisorClasses, apsp_oracle, class_diameter
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, predict_max_for_t, predict_overall_max
-from .numtheory import Factorization, factorize, proper_divisors
+from .numtheory import factorize, proper_divisors
 
 
 class Status(str, Enum):
@@ -100,18 +93,6 @@ class VerificationRecord(NamedTuple):
         ]
 
 
-#: Per-size maxima (t = 1..k) by exponent signature, filled by the first
-#: order of each signature that this process verifies.
-_MAXIMA: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
-def _signature(f: Factorization) -> tuple[int, tuple[int, ...]]:
-    """The exponent of 2 and the sorted exponents of the odd primes: all
-    that ``DivisorClasses.step`` reads of the primes of n."""
-    exponents = dict(f.factors)
-    return exponents.pop(2, 0), tuple(sorted(exponents.values()))
-
-
 def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
@@ -121,10 +102,9 @@ def verify_order(n: int) -> list[VerificationRecord]:
     divisors = proper_divisors(n)
     bits = [1 << classes.index[d] for d in divisors]
     subset_sizes(n, divisors, 1, k)
-    signature = _signature(f)
-    known = _MAXIMA.get(signature)
+    known = classes.maxima
     # floor[t] is the known maximum of size t, 0 while it is unknown.
-    floor = (0, *known) if known is not None else (0,) * (k + 1)
+    floor = (0, *known) if known else (0,) * (k + 1)
     best = [(0, ())] * (k + 1)  # t -> (max diam, witness), (0, ()) before any set
     # bar[t]: no set of size t with diameter <= bar[t] is the first to reach its maximum.
     bar = [m - 1 for m in floor]
@@ -140,7 +120,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
         """Visit each set prefix + (d,) with d from divisors[start:], then
         its extensions; prefix_mask has the class indices of prefix, and
         prefix_row is its successor row, or None until a set here misses
-        the shape's diameters."""
+        the signature's diameters."""
         nonlocal done
         size = len(prefix) + 1
         for i in range(start, len(divisors)):
@@ -177,11 +157,8 @@ def verify_order(n: int) -> list[VerificationRecord]:
             extend(node, node_gcd, mask, row, i + 1)
 
     extend((), 0, 0, None, 0)
-    maxima = tuple(diam for diam, _ in best[1:])
-    if known is None:
-        _MAXIMA[signature] = maxima
-    elif maxima != known:
-        raise RuntimeError(f"n={n}: maxima {maxima} differ from {known} of signature {signature}")
+    if not known:
+        known.extend(diam for diam, _ in best[1:])
     records = []
     for t in range(1, k + 1):
         predicted = predict_max_for_t(f, t)
@@ -237,12 +214,17 @@ def verify_range(
 ) -> RangeReport:
     """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs.
 
-    With more than one worker the orders run in a process pool, which is
-    imported here and only then, so importing icg loads no pool machinery.
+    Raises ResourceLimitError, before searching any order or starting a
+    pool, when ``subset_sizes`` refuses some order of the range.  With more
+    than one worker the orders run in a process pool, which is imported
+    here and only then, so importing icg loads no pool machinery.
     """
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
+    if len(orders) > 1:  # verify_order checks a lone order before its search
+        for n in orders:
+            subset_sizes(n, proper_divisors(n), 1, factorize(n).k)
     # The pool may fork all its workers at once: start no more than orders.
     workers = min(jobs, len(orders))
     if workers > 1:

@@ -154,6 +154,15 @@ class TestVerify:
         assert out == ""
         assert err == "error: n=20790 has 7666239 divisor subsets of size 1..5, cap is 1048576\n"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_range_over_subset_guard_exits_2_before_any_search(self, capsys, monkeypatch, jobs):
+        # 4620 is the first order the guard refuses; 2..4619 are not searched.
+        searched = []
+        monkeypatch.setattr("icg.verify.verify_order", searched.append)
+        code, out, err = run(capsys, "--jobs", jobs, "verify", "2..6000", "--fail-fast")
+        assert (code, out, searched) == (2, "", [])
+        assert err == "error: n=4620 has 1729647 divisor subsets of size 1..5, cap is 1048576\n"
+
 
 class TestColdImport:
     """What a fresh interpreter loads for ``import icg.cli`` and for a

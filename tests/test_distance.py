@@ -361,11 +361,22 @@ class TestShapeTable:
             assert len(steps) == 1, i
         assert rows[0].diameters is rows[3].diameters
 
+    def test_orders_of_one_signature_share_a_table(self):
+        # 90 = 2 3^2 5 and 150 = 2 3 5^2, and 45 = 3^2 5 and 75 = 3 5^2,
+        # differ only by a swap of two odd primes, which the digit order
+        # undoes: the prime of exponent 2 takes the higher digit.
+        for pair in ((90, 150), (45, 75)):
+            a, b = (DivisorClasses(factorize(n)) for n in pair)
+            assert a.diameters is b.diameters and a.maxima is b.maxima, pair
+            for i in range(len(a.divisors)):
+                assert a.step(a.divisors[i]) is b.step(b.divisors[i]), (pair, i)
+        assert DivisorClasses(factorize(90)).divisors[:6] == (1, 2, 5, 10, 3, 6)
+
     def test_shape_tells_two_apart(self):
         # 6 = 2 * 3 and 15 = 3 * 5 have the same exponents, but adding two
         # odd symbols of 6 never gives an odd vertex.
         six, fifteen = DivisorClasses(factorize(6)), DivisorClasses(factorize(15))
-        assert six.diameters is not fifteen.diameters
+        assert six.diameters is not fifteen.diameters and six.maxima is not fifteen.maxima
         assert six.step(1) != fifteen.step(1)
 
 

@@ -20,7 +20,6 @@ from icg.numtheory import factorize, proper_divisors
 from icg.verify import (
     RangeReport,
     Status,
-    _signature,
     verify_order,
     verify_range,
     verify_transitivity,
@@ -172,9 +171,8 @@ class TestPrunedSearch:
         # must be the set's own row; the sets searched are those of the
         # pruned search, rebuilt here from rows made per set.  Each order
         # is searched cold, then floored by the maxima the cold search
-        # stored for its signature.  Both searches start from an empty
-        # shape table, so that no diameter saves a BFS.
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        # stored in its signature's table.  Both searches start from a
+        # table with no diameters, so that no diameter saves a BFS.
         received = []
 
         def spy(row):
@@ -218,10 +216,10 @@ class TestPrunedSearch:
 
             cold, maxima = search({})
             warm, _ = search(maxima)
-            icg.verify._MAXIMA.clear()
-            for expected in (cold, warm):
+            for known, expected in (([], cold), (maxima, warm)):
                 received.clear()
-                distance_module._shape_table.cache_clear()
+                distance_module._exponent_table.cache_clear()
+                DivisorClasses(f).maxima.extend(known[t] for t in sorted(known))
                 verify_order(n)
                 assert received == expected, n
 
@@ -239,50 +237,41 @@ class TestPrunedSearch:
 
 
 class TestSignatureMaxima:
-    """verify_order trusts the per-size maxima it stored for a signature:
-    a stored maximum that is too low could end a search early unnoticed."""
+    """verify_order floors its search with the per-size maxima that the
+    table of its order's exponent signature holds: a stored maximum that
+    is too low could end a search early unnoticed."""
 
-    def test_orders_of_a_signature_share_maxima(self, monkeypatch):
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+    def test_orders_of_a_signature_share_maxima(self):
         maxima = {}
         for n in range(2, 1001):
-            icg.verify._MAXIMA.clear()  # search every order cold
+            distance_module._exponent_table.cache_clear()  # search every order cold
             observed = tuple(r.observed_max for r in verify_order(n) if r.t is not None)
-            maxima.setdefault(_signature(factorize(n)), set()).add(observed)
+            exponents = dict(factorize(n).factors)
+            signature = exponents.pop(2, 0), tuple(sorted(exponents.values()))
+            maxima.setdefault(signature, set()).add(observed)
+            assert DivisorClasses(factorize(n)).maxima == list(observed), n
         assert len(maxima) == 67
         assert {sig: found for sig, found in maxima.items() if len(found) > 1} == {}
 
-    def test_descending_orders_match_pinned_sweep(self, monkeypatch):
+    def test_descending_orders_match_pinned_sweep(self):
         # Each signature's maxima now come from its largest order up to
         # 1000 instead of its smallest.
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
+        distance_module._exponent_table.cache_clear()
         chunks = {n: verify_order(n) for n in range(1000, 1, -1)}
         report = RangeReport(2, 1000, tuple(r for n in range(2, 1001) for r in chunks[n]))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
 
-    def test_too_high_stored_maximum_raises(self, monkeypatch):
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
-        verify_order(30)
-        signature = _signature(factorize(42))
-        maxima = icg.verify._MAXIMA[signature]
-        assert signature == _signature(factorize(30)) and maxima == (3, 4, 3)
-        for t in range(len(maxima)):
-            icg.verify._MAXIMA[signature] = maxima[:t] + (maxima[t] + 1,) + maxima[t + 1 :]
-            with pytest.raises(RuntimeError, match="differ from"):
-                verify_order(42)
-
 
 class TestShapeTable:
     """verify_order reads each set's diameter from the table of its
-    order's shape before it runs a BFS."""
+    order's signature before it runs a BFS."""
 
     def test_served_diameters_are_exact(self, monkeypatch):
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
-        distance_module._shape_table.cache_clear()
+        distance_module._exponent_table.cache_clear()
         served = []
 
         class Checked:
-            """The shape's diameters, checking each one served against a
+            """The signature's diameters, checking each one served against a
             fresh BFS on the set in the order being searched."""
 
             def __init__(self, classes):
@@ -308,14 +297,13 @@ class TestShapeTable:
         monkeypatch.setattr(icg.verify, "DivisorClasses", CheckedClasses)
         for n in range(2, 401):
             verify_order(n)
-        # Most orders share their shape with an earlier one.
+        # Most orders share their signature with an earlier one.
         assert len(served) > 2000 and len(set(served)) > 300
 
     def test_second_order_of_a_shape_skips_measured_sets(self, monkeypatch):
-        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a shape.  Both are
+        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a signature.  Both are
         # searched without stored maxima.
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
-        distance_module._shape_table.cache_clear()
+        distance_module._exponent_table.cache_clear()
         received = []
 
         def spy(row):
@@ -325,21 +313,20 @@ class TestShapeTable:
         monkeypatch.setattr(icg.verify, "class_diameter", spy)
         verify_order(84)
         cold = len(received)
-        distance_module._shape_table.cache_clear()
-        icg.verify._MAXIMA.clear()
+        distance_module._exponent_table.cache_clear()
         verify_order(60)
-        table = DivisorClasses(factorize(60)).diameters
+        classes = DivisorClasses(factorize(60))
+        table = classes.diameters
         measured = set(table)
         assert len(measured) == len(received) - cold
         received.clear()
-        icg.verify._MAXIMA.clear()
+        classes.maxima.clear()
         verify_order(84)
         # Each BFS stores its set, so every BFS was on a set new to the table.
         assert len(received) == len(set(table) - measured) < cold
 
-    def test_shuffled_cold_sweep_matches_pin(self, monkeypatch):
-        monkeypatch.setattr(icg.verify, "_MAXIMA", {})
-        distance_module._shape_table.cache_clear()
+    def test_shuffled_cold_sweep_matches_pin(self):
+        distance_module._exponent_table.cache_clear()
         orders = list(range(2, 1001))
         random.Random(1000).shuffle(orders)
         chunks = {n: verify_order(n) for n in orders}
@@ -373,7 +360,7 @@ class TestVerifyRange:
 
     def test_sweep_to_3000_pinned(self):
         # k = 5 (2310), exponents of 3 or more, n = 2 (mod 4) and the t = k
-        # mismatches, with the shape tables warm from earlier orders.
+        # mismatches, with the signature tables warm from earlier orders.
         digest = hashlib.sha256(verify_range(2, 3000).to_json().encode()).hexdigest()
         assert digest == SWEEP_3000_SHA256
 
@@ -450,6 +437,16 @@ class TestVerifyRange:
         report = verify_range(7, 7, jobs=8)
         assert pool_sizes == []
         assert report.to_json() == verify_range(7, 7).to_json()
+
+    def test_refused_order_stops_the_range_before_any_search(self, monkeypatch, pool_sizes):
+        # 4620 = 4 * 3 * 5 * 7 * 11 is the first order the subset guard
+        # refuses; the orders before it are not searched, and no pool starts.
+        searched = []
+        monkeypatch.setattr(icg.verify, "verify_order", searched.append)
+        for jobs, fail_fast in ((1, False), (2, False), (2, True)):
+            with pytest.raises(ResourceLimitError, match="n=4620 has 1729647"):
+                verify_range(4600, 4620, jobs=jobs, fail_fast=fail_fast)
+        assert searched == [] and pool_sizes == []
 
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
