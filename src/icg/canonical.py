@@ -11,9 +11,12 @@ enumeration over them drives the whole verification harness.
 
 Whether p is eligible for d depends only on which members p divides, so
 separation is a property of the members' prime-support masks (bit i set
-when the i-th prime divides d): a set is separated exactly when, for each
-member mask m, the AND of the other masks has a bit outside m.
-``enumerate_separated`` therefore builds its sets as products of the
+when the i-th prime divides d): the primes eligible for a member with
+mask m are the bits of AND(other masks) & ~m.  The leave-one-out gcd
+stays the definition, and the tests check the masks against it; the code
+reads the masks from one cached table per order, which maps every
+divisor of n to its mask, and caches the eligible bits per tuple of
+masks.  ``enumerate_separated`` builds its sets as products of the
 divisors bucketed by mask, over the separated mask sets of size t, which
 depend only on k and t.  Every enumeration of divisor subsets is sized by
 ``subset_sizes``, the one place that refuses a request for more than
@@ -50,20 +53,67 @@ class SeparationWitness(NamedTuple):
         return {"assignment": [{"divisor": d, "prime": p} for d, p in self.assignment]}
 
 
-def _leave_one_out_gcds(divisors: tuple[int, ...]) -> list[int]:
-    """gcd(D - {d}) for each d in D, in order; the gcd of no divisors is 0."""
-    return [math.gcd(*divisors[:i], *divisors[i + 1 :]) for i in range(len(divisors))]
+class _Support(NamedTuple):
+    """The prime-support masks of one order's divisors; read-only."""
+
+    mask: dict[int, int]  # every divisor of n, n included -> its mask
+    primes: tuple[tuple[int, ...], ...]  # mask -> the primes of its bits, ascending
+    divisors: tuple[int, ...]  # the proper divisors, ascending
+    buckets: tuple[tuple[int, ...], ...]  # mask -> the proper divisors with it, ascending
+
+
+@lru_cache(maxsize=8)  # callers go order by order; tau(n) = 6720 takes about 1.1 MB
+def _support(f: Factorization) -> _Support:
+    """The support table of n, built one prime at a time from ``f.factors``."""
+    mask = {1: 0}
+    primes: list[tuple[int, ...]] = [()]
+    bit = 1
+    for p, a in f.factors:
+        below = list(mask.items())
+        q = p
+        for _ in range(a):
+            for d, m in below:
+                mask[d * q] = m | bit
+            q *= p
+        for ps in primes[:]:
+            primes.append(ps + (p,))
+        bit <<= 1
+    divisors = sorted(mask)[:-1]
+    buckets: list[list[int]] = [[] for _ in primes]
+    for d in divisors:
+        buckets[mask[d]].append(d)
+    return _Support(mask, tuple(primes), tuple(divisors), tuple(map(tuple, buckets)))
+
+
+def support_masks(f: Factorization, divisors: tuple[int, ...]) -> tuple[int, ...]:
+    """The prime-support mask of each divisor of n (bit i set when the i-th
+    prime of n divides it), in order."""
+    mask = _support(f).mask
+    return tuple([mask[d] for d in divisors])
+
+
+@lru_cache(maxsize=1024)  # the separated sets of the orders 2..1199 have 156 keys
+def eligible_bits(k: int, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """For each member mask m over k primes, the mask of its eligible
+    primes: AND(other masks) & ~m, where the AND of no masks is every prime."""
+    full = (1 << k) - 1
+    return tuple(
+        reduce(and_, masks[:i] + masks[i + 1 :], full) & ~m for i, m in enumerate(masks)
+    )
+
+
+def _eligible(f: Factorization, divisors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The eligible primes of each divisor, from the support table."""
+    table = _support(f)
+    mask = table.mask
+    return [table.primes[b] for b in eligible_bits(f.k, tuple([mask[d] for d in divisors]))]
 
 
 def eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[int]]:
-    """For each divisor d, the primes of n dividing gcd(D - {d}) but not
-    gcd(D): those not dividing d but dividing every other divisor."""
-    g = math.gcd(*divisors)
-    primes = f.primes
-    return [
-        [p for p in primes if loo % p == 0 and g % p != 0]
-        for loo in _leave_one_out_gcds(divisors)
-    ]
+    """For each divisor d of n (n itself allowed), the primes of n dividing
+    gcd(D - {d}) but not gcd(D): those not dividing d but dividing every
+    other divisor."""
+    return [list(primes) for primes in _eligible(f, divisors)]
 
 
 def iter_witnesses(f: Factorization, ds: DivisorSet) -> Iterator[SeparationWitness]:
@@ -74,7 +124,7 @@ def iter_witnesses(f: Factorization, ds: DivisorSet) -> Iterator[SeparationWitne
     each list holds one prime, so there is at most one witness.
     """
     divisors = ds.divisors
-    for primes in product(*eligible_primes(f, divisors)):
+    for primes in product(*_eligible(f, divisors)):
         yield SeparationWitness(tuple(zip(divisors, primes)))
 
 
@@ -90,7 +140,9 @@ def minimal_connected(ds: DivisorSet) -> bool:
     set inclusion); gcd of the empty set is 0, counted as > 1.
     """
     divisors = ds.divisors
-    return math.gcd(*divisors) == 1 and 1 not in _leave_one_out_gcds(divisors)
+    return math.gcd(*divisors) == 1 and all(
+        math.gcd(*divisors[:i], *divisors[i + 1 :]) != 1 for i in range(len(divisors))
+    )
 
 
 def subset_sizes(n: int, divisors: tuple[int, ...], lo: int, hi: int | None) -> range:
@@ -130,19 +182,32 @@ def _separated_masks(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     """The t-sets of prime-support masks over k primes, ascending, in
     which each mask m meets AND(other masks) & ~m != 0.
 
-    The AND of no masks is the full mask, which itself is never separated
-    and is left out; two equal masks would leave each other no bit, so the
-    masks of a separated set are distinct.
+    Built from the members' eligible blocks, not by testing every t-set
+    of masks.  Each prime either lies in the block of one member s, and
+    then every member but s has its bit, or is eligible for no member,
+    and then the members having its bit are any set S but one of t - 1
+    members (the one left out would take it).  Members are numbered in
+    the order of their blocks' least primes, so each mask set is built
+    exactly once; every block must be nonempty.
     """
-    full = (1 << k) - 1
-    return tuple(
-        masks
-        for masks in combinations(range(full), t)
-        if all(
-            reduce(and_, masks[:i] + masks[i + 1 :], full) & ~m
-            for i, m in enumerate(masks)
-        )
-    )
+    spread = [s for s in range(1 << t) if bin(s).count("1") != t - 1]
+    states: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * t)]  # (blocks opened, masks)
+    for i in range(k):
+        bit = 1 << i
+        later = k - 1 - i
+        grown = []
+        for opened, masks in states:
+            for s in range(min(opened + 1, t)):  # prime i joins block s, or opens it
+                now = max(opened, s + 1)
+                if t - now <= later:
+                    joined = [m if j == s else m | bit for j, m in enumerate(masks)]
+                    grown.append((now, tuple(joined)))
+            if t - opened <= later:  # prime i is eligible for no member
+                for members in spread:
+                    spread_to = [m | bit if members >> j & 1 else m for j, m in enumerate(masks)]
+                    grown.append((opened, tuple(spread_to)))
+        states = grown
+    return tuple(sorted(tuple(sorted(masks)) for opened, masks in states if opened == t))
 
 
 def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
@@ -153,18 +218,15 @@ def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     refusal.  Otherwise each set is one divisor from each bucket of a
     separated mask set.  The table of mask sets is built only after the
     ``subset_sizes`` guard passes: n has at least 2^k - 1 proper divisors,
-    so building it tries no more than the C(len(divisors), t) subsets the
-    guard admits.
+    so the table holds no more than the C(len(divisors), t) subsets the
+    guard admits, and building it takes at most k steps per mask set.
     """
     f = factorize(n)
     if t > f.k:
         return []
-    divisors = proper_divisors(n)
-    subset_sizes(n, divisors, t, t)
-    buckets: list[list[int]] = [[] for _ in range(1 << f.k)]
-    primes = f.primes
-    for d in divisors:
-        buckets[sum(1 << i for i, p in enumerate(primes) if d % p == 0)].append(d)
+    table = _support(f)
+    subset_sizes(n, table.divisors, t, t)
+    buckets = table.buckets
     combos = sorted(
         tuple(sorted(combo))
         for masks in _separated_masks(f.k, t)

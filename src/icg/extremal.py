@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
-from .canonical import SeparationWitness, eligible_primes, separation_witness
+from .canonical import SeparationWitness, eligible_bits, eligible_primes, support_masks
 from .core import DivisorSet, make_divisor_set, make_instance
 from .distance import DivisorClasses
 from .errors import DomainError
@@ -144,7 +146,10 @@ def predict_max_for_t(f: Factorization, t: int) -> MaxDiameterPrediction:
 def _squares_off(ds: DivisorSet, p: int, skip: tuple[int, ...]) -> bool:
     """p**2 divides every divisor of ds outside skip."""
     pp = p * p
-    return all(e % pp == 0 for e in ds.divisors if e not in skip)
+    for e in ds.divisors:
+        if e % pp and e not in skip:
+            return False
+    return True
 
 
 def _sharp_primes(f: Factorization, w: SeparationWitness) -> tuple[int | None, list[int]]:
@@ -156,15 +161,15 @@ def _sharp_primes(f: Factorization, w: SeparationWitness) -> tuple[int | None, l
     return d1, [p for p in f.primes if p != 2 and d1 % p == 0 and d1 % (p * p) != 0]
 
 
-def _untouched(f: Factorization, ds: DivisorSet) -> list[tuple[int, int]]:
-    """The prime powers (p, a) of n whose prime divides no divisor of ds."""
-    return [(p, a) for p, a in f.factors if all(d % p != 0 for d in ds.divisors)]
+def _untouched(f: Factorization, touched: int) -> list[tuple[int, int]]:
+    """The prime powers (p, a) of n whose bit is not in the touched mask."""
+    return [pa for i, pa in enumerate(f.factors) if not touched >> i & 1]
 
 
-def _condition_i_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
-    """For every witness prime p with exponent > 1, every divisor other than
-    its dedicated one is divisible by p**2."""
-    return all(_squares_off(ds, p, (d,)) for d, p in w.assignment if f.n % (p * p) == 0)
+def _condition_i_holds(n: int, ds: DivisorSet, w: SeparationWitness) -> bool:
+    """For every witness prime p with exponent > 1 in n, every divisor other
+    than its dedicated one is divisible by p**2."""
+    return all(_squares_off(ds, p, (d,)) for d, p in w.assignment if n % (p * p) == 0)
 
 
 def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> bool:
@@ -195,7 +200,7 @@ def extremal_check_t_eq_k(
         raise DomainError(
             f"extremal_check_t_eq_k requires |D| = k = {f.k}, got {len(ds.divisors)}"
         )
-    if _condition_i_holds(f, ds, w):
+    if _condition_i_holds(f.n, ds, w):
         return ExtremalVerdict(True, "thm:r(n) i")
     if _condition_ii_holds(f, ds, w):
         return ExtremalVerdict(True, "thm:r(n) ii")
@@ -225,7 +230,7 @@ def extremal_check_t_lt_k(
     if len(ds.divisors) >= f.k:
         raise DomainError(f"extremal_check_t_lt_k requires |D| < k = {f.k}")
     n = f.n
-    untouched = _untouched(f, ds)
+    untouched = _untouched(f, reduce(or_, support_masks(f, ds.divisors)))
     eligible = list(zip(ds.divisors, eligible_primes(f, ds.divisors)))
 
     def each_has_odd_prime(test) -> bool:
@@ -269,10 +274,11 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     the set's one witness over m has every witness prime square-dividing
     all non-dedicated divisors.
     """
-    untouched = _untouched(f, ds)
+    masks = support_masks(f, ds.divisors)
+    touched = reduce(or_, masks)
+    untouched = _untouched(f, touched)
     if not untouched:
         raise DomainError("every prime of n divides some divisor; nothing untouched")
-    touched = tuple(pa for pa in f.factors if pa not in untouched)
     n_prime = math.prod(p**a for p, a in untouched)
     m = f.n // n_prime
     square_pair = attains_r = False
@@ -282,14 +288,20 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
         # Needs at least two primes; for prime powers the 2t/2t+1 branch of
         # the cardinality formula does not exist.
         square_pair = f.k >= 2
-    else:
-        fm = Factorization(m, touched)
+    elif len(ds.divisors) == bin(touched).count("1"):
         # Every divisor divides m, as it divides n and is coprime to n', so
-        # the checks over m read ds as it is.
-        w = separation_witness(fm, ds) if len(ds.divisors) == fm.k else None
-        if w is not None:
+        # the checks over m read ds as it is.  A prime is eligible over m
+        # when it is eligible over n and touched: the AND of the other
+        # members' masks lies in the touched mask, except for a lone member,
+        # where it is every prime of n.  With |D| = k(m) disjoint nonempty
+        # eligible sets hold one prime each, so the witness is unique.
+        bits = [b & touched for b in eligible_bits(f.k, masks)]
+        if all(bits):
+            w = SeparationWitness(
+                tuple([(d, f.factors[b.bit_length() - 1][0]) for d, b in zip(ds.divisors, bits)])
+            )
             square_pair = all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
-            attains_r = n_prime == 2 and _condition_i_holds(fm, ds, w)
+            attains_r = n_prime == 2 and _condition_i_holds(m, ds, w)
     even = n_prime % 2 == 0
     return UntouchedPrimeVerdict(
         attains_r,

@@ -3,12 +3,17 @@
 The separation property is re-derived by a brute-force definition check
 (try every injective divisor-to-prime assignment) and compared against
 the production witnesses, the product of the eligible-prime lists.  The
-separated sets built from prime-support masks are compared with a filter
-over every t-subset, which is how they were enumerated before.
+eligible primes, read from prime-support masks, are compared with their
+leave-one-out gcd definition.  The separated sets built from masks are
+compared with a filter over every t-subset, which is how they were
+enumerated before, and the table of separated mask sets with a filter
+over every t-set of masks.
 """
 
 import itertools
 import math
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -60,15 +65,40 @@ def brute_force_witnesses(n, divisors):
     ]
 
 
+def gcd_eligible(primes, divisors):
+    """For each divisor d, the primes dividing the leave-one-out gcd
+    gcd(D - {d}) but not gcd(D); the gcd of no divisors is 0."""
+    g = math.gcd(*divisors)
+    return [
+        [
+            p
+            for p in primes
+            if math.gcd(*divisors[:i], *divisors[i + 1 :]) % p == 0 and g % p != 0
+        ]
+        for i in range(len(divisors))
+    ]
+
+
 def filter_separated(n, t):
     """Every t-subset of the proper divisors whose eligible-prime lists are
     all nonempty, ascending: the reference for ``enumerate_separated``."""
-    f = factorize(n)
+    primes = factorize(n).primes
     return [
         DivisorSet(n, combo)
         for combo in divisor_subsets(n, t, t)
-        if all(eligible_primes(f, combo))
+        if all(gcd_eligible(primes, combo))
     ]
+
+
+def filter_separated_masks(k, t):
+    """Every t-set of masks over k primes, ascending, in which each mask m
+    meets AND(other masks) & ~m != 0: the reference for ``_separated_masks``."""
+    full = (1 << k) - 1
+    return tuple(
+        masks
+        for masks in itertools.combinations(range(full), t)
+        if all(reduce(and_, masks[:i] + masks[i + 1 :], full) & ~m for i, m in enumerate(masks))
+    )
 
 
 class TestSeparationWitness:
@@ -131,6 +161,34 @@ class TestSeparationWitness:
                 assert got == brute_force_witnesses(n, combo), (n, combo)
                 if len(combo) == f.k:
                     assert len(got) <= 1, (n, combo)
+
+
+class TestEligiblePrimes:
+    def test_matches_leave_one_out_gcds(self):
+        # Every subset of at most k proper divisors, n <= 400, t = 1 included.
+        for n in range(2, 401):
+            f = factorize(n)
+            for combo in divisor_subsets(n, 1, f.k):
+                assert eligible_primes(f, combo) == gcd_eligible(f.primes, combo), (n, combo)
+
+    def test_over_a_part_of_n(self):
+        # Sets leaving primes of n untouched are checked over the part m of
+        # n that they touch, where a member can equal m itself.
+        for m, divisors, expected in (
+            (15, (15,), [[]]),
+            (15, (3, 5), [[5], [3]]),
+            (12, (4, 12), [[3], []]),
+            (30, (6, 10, 15), [[5], [3], [2]]),
+        ):
+            f = factorize(m)
+            assert eligible_primes(f, divisors) == gcd_eligible(f.primes, divisors) == expected
+
+    def test_lists_are_fresh(self):
+        f = factorize(30)
+        first = eligible_primes(f, (6, 10, 15))
+        first[0].append(7)
+        first.append([])
+        assert eligible_primes(f, (6, 10, 15)) == [[5], [3], [2]]
 
 
 class TestMakeSeparated:
@@ -222,6 +280,11 @@ class TestSeparatedFromMasks:
         # k = 6 and 8,088,059,011,227 candidate 7-subsets.
         assert enumerate_separated(720720, 7) == []
         assert enumerate_separated(30, 4) == filter_separated(30, 4) == []
+
+    def test_mask_table_matches_filter(self):
+        for k in range(1, 6):
+            for t in range(1, k + 1):
+                assert _separated_masks(k, t) == filter_separated_masks(k, t), (k, t)
 
     def test_one_mask_set_at_full_size(self):
         # With t = k, member s has every prime but the s-th.

@@ -7,6 +7,8 @@ the handful of sets where the bound is reached without the condition are
 pinned down explicitly.
 """
 
+import hashlib
+import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -298,7 +300,57 @@ class TestPartialCardinality:
             extremal_check_t_lt_k(f, ds, w)
 
 
+def untouched_reference(n, divisors):
+    """check_untouched_prime's verdict from its definition: the witness over
+    the touched part m takes, for each divisor, the least prime of m that
+    divides the leave-one-out gcd but not gcd(D)."""
+    factors = factorize(n).factors
+    untouched = [(p, a) for p, a in factors if all(d % p for d in divisors)]
+    n_prime = math.prod(p**a for p, a in untouched)
+    m = n // n_prime
+    square_pair = attains_r = False
+    if m == 1:
+        square_pair = len(factors) >= 2
+    elif len(divisors) == len(factors) - len(untouched):
+        g = math.gcd(*divisors)
+        eligible = [
+            [
+                p
+                for p, _ in factorize(m).factors
+                if math.gcd(*divisors[:i], *divisors[i + 1 :]) % p == 0 and g % p
+            ]
+            for i in range(len(divisors))
+        ]
+        if all(eligible):
+            w = [(d, ps[0]) for d, ps in zip(divisors, eligible)]
+
+            def squares_off(p, d):
+                return all(e % (p * p) == 0 for e in divisors if e != d)
+
+            square_pair = all(squares_off(p, d) for d, p in w)
+            attains_r = n_prime == 2 and all(squares_off(p, d) for d, p in w if m % (p * p) == 0)
+    even = n_prime % 2 == 0
+    return attains_r, square_pair and even, square_pair and not even, m, n_prime
+
+
 class TestUntouchedPrime:
+    def test_matches_definition(self):
+        # Every set of at most k proper divisors leaving a prime untouched,
+        # n <= 400; t = 1 and members equal to the touched part included.
+        checked = 0
+        for n in range(2, 401):
+            f = factorize(n)
+            for combo in divisor_subsets(n, 1, f.k):
+                if all(any(d % p == 0 for d in combo) for p in f.primes):
+                    continue
+                v = check_untouched_prime(f, DivisorSet(n, combo))
+                got = (v.attains, v.attains_two_t_plus_one, v.attains_two_t, v.touched, v.untouched)
+                assert got == untouched_reference(n, combo), (n, combo)
+                checked += 1
+        assert checked > 10_000
+        v = check_untouched_prime(factorize(30), DivisorSet(30, (15,)))
+        assert (v.touched, v.untouched, v.attains_two_t_plus_one) == (15, 2, False)
+
     def test_examples(self):
         f = factorize(450)
         v = check_untouched_prime(f, make_divisor_set(450, [25, 9]))
@@ -381,6 +433,37 @@ class TestVerdictCounts:
         assert t_eq_k == {"i": 516, "ii": 8, None: 345}
         assert t_lt_k == {"i": 34, "ii": 95, None: 1056}
         assert untouched == {"FFF": 1750, "FFT": 116, "FTF": 191, "TFF": 48}
+
+    def test_closed_form_layer_below_1200_pinned(self):
+        # Every separated set with t <= k of every order 2..1199 with at most
+        # 20 proper divisors, with all its witnesses, its verdict routed as
+        # the closed-form layer routes it, and the worst vertex of a t = k
+        # set that attains r(n).  The digest was computed before separation
+        # was read from prime-support masks.
+        lines = []
+        for n in range(2, 1200):
+            if len(proper_divisors(n)) > 20:
+                continue
+            f = factorize(n)
+            for t in range(1, f.k + 1):
+                for ds in enumerate_separated(n, t):
+                    witnesses = list(iter_witnesses(f, ds))
+                    vertex = None
+                    if t == f.k:
+                        verdict = extremal_check_t_eq_k(f, ds, witnesses[0])
+                        if verdict.attains:
+                            variant = "II" if verdict.matched_condition.endswith("ii") else "I"
+                            vertex = worst_vertex(f, ds, witnesses[0], variant)
+                    elif any(all(d % p for d in ds.divisors) for p in f.primes):
+                        verdict = check_untouched_prime(f, ds)
+                    else:
+                        verdict = extremal_check_t_lt_k(f, ds, witnesses[0])
+                    assignments = [w.assignment for w in witnesses]
+                    row = [n, t, ds.divisors, assignments, verdict.to_json_obj(), vertex]
+                    lines.append(json.dumps(row))
+        assert len(lines) == 15471
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9740d8571b0d1f58437b8bfef1c3b31e8f5da88ac4a00f5d4a63fa82ea928ac9"
 
 
 class TestSmallFamilies:
