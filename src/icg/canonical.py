@@ -29,7 +29,7 @@ import math
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
 from operator import and_
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import DivisorSet, make_divisor_set
 from .errors import DomainError, ResourceLimitError
@@ -145,7 +145,7 @@ def minimal_connected(ds: DivisorSet) -> bool:
     )
 
 
-def subset_sizes(n: int, divisors: tuple[int, ...], lo: int, hi: int | None) -> range:
+def subset_sizes(n: int, divisors: Sequence[int], lo: int, hi: int | None) -> range:
     """The sizes lo..hi, capped at len(divisors) (any size from lo when hi
     is None), of subsets of n's proper divisors.
 
@@ -157,12 +157,18 @@ def subset_sizes(n: int, divisors: tuple[int, ...], lo: int, hi: int | None) -> 
         raise DomainError(f"cardinality must be >= 1, got {lo}")
     top = len(divisors) if hi is None else min(hi, len(divisors))
     sizes = range(lo, top + 1)
-    count = sum(math.comb(len(divisors), size) for size in sizes)
+    count = _subset_count(len(divisors), lo, top)
     if count > MAX_SUBSETS:
         raise ResourceLimitError(
             f"n={n} has {count} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
         )
     return sizes
+
+
+@lru_cache(maxsize=256)  # bounds memory; verify_range(2, 3000) reads 48 keys
+def _subset_count(m: int, lo: int, top: int) -> int:
+    """The number of subsets of an m-set with lo..top elements."""
+    return sum(math.comb(m, size) for size in range(lo, top + 1))
 
 
 def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tuple[int, ...]]:

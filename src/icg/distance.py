@@ -155,7 +155,9 @@ class DivisorClasses:
         return row
 
 
-@lru_cache(maxsize=64)  # bounds memory; 2..3000 has 99 signatures, the 152 sweep orders 32
+# Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
+# of that range evicts no table before it comes back to its signature.
+@lru_cache(maxsize=128)
 def _exponent_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict, list]:
     """The step rows by class index, the class-BFS diameters by
     class-index bitmask and the per-size maxima of the orders of one

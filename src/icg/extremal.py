@@ -7,6 +7,11 @@ For n = p_1^a_1 ... p_k^a_k define
 Over all connected divisor sets of order n the maximal diameter is r(n),
 or r(n)+1 when n = 2 (mod 4); fixing the divisor-set cardinality t <= k
 refines this into a seven-branch case split on (parity of n, s(n), t).
+The predictions read n only through n mod 4 and its exponent multiset
+(k, r(n) and s(n) are functions of the multiset), so they are computed
+once per such pair, as one row holding the overall prediction and the
+prediction for each t = 1..k.
+
 This module implements those predictions, the predicates characterizing
 which divisor sets attain them, the CRT worst-vertex constructions, the
 two/three-summand representation lemma, the diameter behaviour under
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -102,6 +107,54 @@ class SummandRepresentation(NamedTuple):
         return {"d": self.d, "l": self.l, "parts": list(self.parts), "plus_one": self.plus_one}
 
 
+class PredictionRow(NamedTuple):
+    """The predictions of every order with one n mod 4 and exponent multiset."""
+
+    overall: MaxDiameterPrediction
+    per_t: tuple[MaxDiameterPrediction, ...]  # per_t[t - 1] for t = 1..k
+
+
+def prediction_row(f: Factorization) -> PredictionRow:
+    """The overall prediction and the per-t predictions for t = 1..k of
+    order n, read from the row of n mod 4 and its exponent multiset."""
+    return _prediction_row(f.n % 4, tuple(sorted(f.exponents)))
+
+
+@lru_cache(maxsize=None)  # keys: n mod 4 and the 4,425 exponent multisets up to FACTOR_BOUND
+def _prediction_row(n_mod_4: int, exponents: tuple[int, ...]) -> PredictionRow:
+    """The seven-branch case split on (n mod 4, s(n), t vs k - floor(s/2)),
+    with r(n) = k + #{a > 1} and s(n) = #{a = 1} read off the exponents.
+
+    Overall: r(n)+1 when n = 2 (mod 4) and s(n) >= 2, else r(n).
+    """
+    k = len(exponents)
+    s = exponents.count(1)
+    r = 2 * k - s  # k + #{a > 1}
+    even = n_mod_4 % 2 == 0
+    if n_mod_4 == 2 and s >= 2:
+        overall = MaxDiameterPrediction(r + 1, CaseLabel.OVERALL_R_PLUS_1)
+    else:
+        overall = MaxDiameterPrediction(r, CaseLabel.OVERALL_R)
+    per_t = []
+    for t in range(1, k):
+        if s >= 2 and k - s // 2 <= t:
+            if n_mod_4 == 2:
+                per_t.append(MaxDiameterPrediction(r + 1, CaseLabel.R_PLUS_1))
+            else:
+                per_t.append(MaxDiameterPrediction(r, CaseLabel.R_CASE))
+        elif s >= 2:  # t < k - s//2
+            if even:
+                per_t.append(MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_BIG_S))
+            else:
+                per_t.append(MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_BIG_S))
+        elif even:
+            per_t.append(MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_SMALL_S))
+        else:
+            per_t.append(MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_SMALL_S))
+    per_t.append(MaxDiameterPrediction(r, CaseLabel.T_EQ_K))
+    return PredictionRow(overall, tuple(per_t))
+
+
 def predict_overall_max(f: Factorization) -> MaxDiameterPrediction:
     """Maximal diameter over ALL connected divisor sets of order n.
 
@@ -110,37 +163,20 @@ def predict_overall_max(f: Factorization) -> MaxDiameterPrediction:
     exceeds r(n), and the r(n)+1 value is unattainable.  It also covers
     the degenerate n = 2 (K_2, diameter 1 = r(2)).
     """
-    if f.n % 4 == 2 and s_of(f) >= 2:
-        return MaxDiameterPrediction(r_of(f) + 1, CaseLabel.OVERALL_R_PLUS_1)
-    return MaxDiameterPrediction(r_of(f), CaseLabel.OVERALL_R)
+    return prediction_row(f).overall
 
 
 def predict_max_for_t(f: Factorization, t: int) -> MaxDiameterPrediction:
     """Maximal diameter over connected divisor sets of cardinality t.
 
-    Seven-branch case split on (n mod 4, s(n), t vs k - floor(s/2)).  For
-    t > k only the overall bound applies; returned with applicable=False.
+    Seven-branch case split on (n mod 4, s(n), t vs k - floor(s/2)), see
+    ``_prediction_row``.  For t > k only the overall bound applies;
+    returned with applicable=False.
     """
     if t < 1:
         raise DomainError(f"cardinality must be >= 1, got {t}")
-    k = f.k
-    if t > k:
-        overall = predict_overall_max(f)
-        return MaxDiameterPrediction(overall.value, overall.case_label, applicable=False)
-    if t == k:
-        return MaxDiameterPrediction(r_of(f), CaseLabel.T_EQ_K)
-    n, r, s = f.n, r_of(f), s_of(f)
-    if s >= 2 and k - s // 2 <= t:
-        if n % 4 == 2:
-            return MaxDiameterPrediction(r + 1, CaseLabel.R_PLUS_1)
-        return MaxDiameterPrediction(r, CaseLabel.R_CASE)
-    if s >= 2:  # t < k - s//2
-        if n % 2 == 0:
-            return MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_BIG_S)
-        return MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_BIG_S)
-    if n % 2 == 0:
-        return MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_SMALL_S)
-    return MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_SMALL_S)
+    row = prediction_row(f)
+    return row.per_t[t - 1] if t <= len(row.per_t) else row.overall._replace(applicable=False)
 
 
 def _squares_off(ds: DivisorSet, p: int, skip: tuple[int, ...]) -> bool:

@@ -39,6 +39,12 @@ the first set, by size then lexicographically, to reach a size's maximum
 can be its witness, and no skip passes over one, so the witnesses do not
 change.
 
+The rest of an order's work outside the search is read, not recomputed.
+The proper divisors come from the order's ``DivisorClasses``, which lists
+every divisor, with no trial division.  The k + 1 predictions are one row
+per n mod 4 and exponent multiset (``extremal.prediction_row``), and the
+guard's subset count is cached per number of divisors and size range.
+
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
 """
@@ -56,7 +62,7 @@ from .canonical import enumerate_separated, subset_sizes
 from .core import make_instance
 from .distance import DivisorClasses, apsp_oracle, class_diameter
 from .errors import ValidationError
-from .extremal import MaxDiameterPrediction, predict_max_for_t, predict_overall_max
+from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import factorize, proper_divisors
 
 
@@ -99,7 +105,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
     classes = DivisorClasses(f)
     diameters = classes.diameters
     k = f.k
-    divisors = proper_divisors(n)
+    divisors = sorted(classes.divisors)[:-1]  # the proper ones; classes holds n too
     bits = [1 << classes.index[d] for d in divisors]
     subset_sizes(n, divisors, 1, k)
     known = classes.maxima
@@ -159,13 +165,13 @@ def verify_order(n: int) -> list[VerificationRecord]:
     extend((), 0, 0, None, 0)
     if not known:
         known.extend(diam for diam, _ in best[1:])
+    predictions = prediction_row(f)
     records = []
-    for t in range(1, k + 1):
-        predicted = predict_max_for_t(f, t)
+    for t, predicted in enumerate(predictions.per_t, 1):
         observed, witness = best[t]
         status = Status.MATCH if predicted.value == observed else Status.MISMATCH
         records.append(VerificationRecord(n, t, predicted, observed, witness, status))
-    predicted = predict_overall_max(f)
+    predicted = predictions.overall
     # The first strict maximum over sizes 1..k, smallest size first.
     observed, witness = max(best[1:], key=lambda entry: entry[0])
     status = Status.MATCH if predicted.value == observed else Status.MISMATCH

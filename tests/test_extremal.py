@@ -28,6 +28,7 @@ from icg.errors import DomainError
 from icg.extremal import (
     CaseLabel,
     ExtremalVerdict,
+    MaxDiameterPrediction,
     check_untouched_prime,
     diameter_two_cases,
     extremal_check_t_eq_k,
@@ -36,6 +37,7 @@ from icg.extremal import (
     lift_diameter_small,
     predict_max_for_t,
     predict_overall_max,
+    prediction_row,
     saxena_family,
     small_family_lookup,
     two_three_summands,
@@ -90,6 +92,71 @@ class TestPredictMaxForT:
     def test_invalid_t(self):
         with pytest.raises(DomainError):
             predict_max_for_t(factorize(30), 0)
+
+
+def reference_overall(f):
+    """The overall prediction as computed per order before the memoized
+    prediction rows."""
+    if f.n % 4 == 2 and s_of(f) >= 2:
+        return MaxDiameterPrediction(r_of(f) + 1, CaseLabel.OVERALL_R_PLUS_1)
+    return MaxDiameterPrediction(r_of(f), CaseLabel.OVERALL_R)
+
+
+def reference_for_t(f, t):
+    """The seven-branch split on (n mod 4, s(n), t vs k - floor(s/2)) as
+    computed per order before the memoized prediction rows."""
+    k = f.k
+    if t > k:
+        overall = reference_overall(f)
+        return MaxDiameterPrediction(overall.value, overall.case_label, applicable=False)
+    if t == k:
+        return MaxDiameterPrediction(r_of(f), CaseLabel.T_EQ_K)
+    n, r, s = f.n, r_of(f), s_of(f)
+    if s >= 2 and k - s // 2 <= t:
+        if n % 4 == 2:
+            return MaxDiameterPrediction(r + 1, CaseLabel.R_PLUS_1)
+        return MaxDiameterPrediction(r, CaseLabel.R_CASE)
+    if s >= 2:
+        if n % 2 == 0:
+            return MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_BIG_S)
+        return MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_BIG_S)
+    if n % 2 == 0:
+        return MaxDiameterPrediction(2 * t + 1, CaseLabel.TWO_T_PLUS_1_SMALL_S)
+    return MaxDiameterPrediction(2 * t, CaseLabel.TWO_T_SMALL_S)
+
+
+class TestPredictionRow:
+    """The predictions are read from one row per n mod 4 and exponent
+    multiset; the per-order split stays here as the reference."""
+
+    def test_rows_match_the_reference_split(self):
+        labels = set()
+        for n in range(2, 5001):
+            f = factorize(n)
+            row = prediction_row(f)
+            assert row.overall == predict_overall_max(f) == reference_overall(f), n
+            assert len(row.per_t) == f.k, n
+            for t in range(1, f.k + 2):
+                want = reference_for_t(f, t)
+                assert predict_max_for_t(f, t) == want, (n, t)
+                assert predict_max_for_t(f, t).applicable == (t <= f.k), (n, t)
+                if t <= f.k:
+                    assert row.per_t[t - 1] == want, (n, t)
+                labels.add(want.case_label)
+        assert labels == set(CaseLabel)
+
+    def test_t_zero_still_raises(self):
+        prediction_row(factorize(30030))  # t < 1 is refused with the row cached too
+        for t in (0, -1):
+            with pytest.raises(DomainError):
+                predict_max_for_t(factorize(30030), t)
+
+    def test_orders_of_one_key_share_a_row(self):
+        # 60 = 4 3 5 and 90 = 2 3^2 5 have the exponents {1, 1, 2}; 60 is
+        # 0 mod 4 and 90 is 2 mod 4, so their rows differ.
+        assert prediction_row(factorize(60)) is prediction_row(factorize(84))
+        assert prediction_row(factorize(90)) is prediction_row(factorize(150))
+        assert prediction_row(factorize(60)) != prediction_row(factorize(90))
 
 
 class TestFullCardinality:

@@ -361,8 +361,26 @@ class TestVerifyRange:
     def test_sweep_to_3000_pinned(self):
         # k = 5 (2310), exponents of 3 or more, n = 2 (mod 4) and the t = k
         # mismatches, with the signature tables warm from earlier orders.
+        # The range has 99 signatures, and an ascending sweep must build
+        # each one's table once: an evicted table would be rebuilt on the
+        # signature's next order, and its diameters measured again.
+        distance_module._exponent_table.cache_clear()
         digest = hashlib.sha256(verify_range(2, 3000).to_json().encode()).hexdigest()
         assert digest == SWEEP_3000_SHA256
+        assert distance_module._exponent_table.cache_info().misses == 99
+
+    @pytest.mark.parametrize("n", [2, 30, 270, 2310])
+    def test_one_order_lists_no_divisors_by_trial_division(self, monkeypatch, n):
+        # verify_order reads the proper divisors from its DivisorClasses.
+        expected = verify_range(n, n).to_json()
+
+        def refuse(m):
+            raise AssertionError(f"proper_divisors({m}) called")
+
+        monkeypatch.setattr(icg.verify, "proper_divisors", refuse)
+        distance_module._exponent_table.cache_clear()
+        assert verify_range(n, n).to_json() == expected
+        assert verify_range(n, n).to_json() == expected  # warm, with the maxima as a floor
 
     def test_csv_to_400_pinned(self):
         # SHA-256 of the report as csv.writer wrote it, before to_csv
