@@ -2,11 +2,15 @@
 Euler phi, CRT, and the diameter statistics r(n) and s(n).
 
 All functions are pure and operate on exact Python integers.  Factorization
-trial-divides by the primes below 2**8, then tests what is left with a
-Miller-Rabin base set that is deterministic below ``FACTOR_BOUND`` (2**40)
-and splits a composite rest with Brent's Pollard rho from fixed starting
-values, so results are reproducible bit-for-bit.  The proper-divisor listing
-trial-divides up to sqrt(n).  Both refuse n above the bound.
+takes one gcd of n with the product of the primes below 2**8 and divides out
+only the primes of that gcd.  A rest of 2**16 or more is tested by
+Miller-Rabin on the first of four base sets whose bound exceeds it; the
+bounds are Jaeschke's ("On strong pseudoprimes to several bases", Math.
+Comp. 61, 1993), and the last lies above ``FACTOR_BOUND`` (2**40).  A
+prime rest is kept as it is, and a composite one is split by Brent's Pollard
+rho from fixed starting values, so results are reproducible bit-for-bit.
+The proper-divisor listing trial-divides up to sqrt(n).  Both refuse n above
+the bound.
 """
 
 from __future__ import annotations
@@ -20,16 +24,25 @@ from .errors import DomainError
 #: Largest n accepted by :func:`factorize`.
 FACTOR_BOUND = 1 << 40
 
-#: The primes below 2**8, by which :func:`factorize` trial-divides.  A rest
-#: with no prime factor below 2**8 is prime when it is below 2**16 (257**2 is
-#: above it).
+#: The primes below 2**8.  A rest with no prime factor below 2**8 is prime
+#: when it is below 2**16 (257**2 is above it).
 _SMALL_PRIMES = tuple(
     p for p in range(2, 1 << 8) if all(p % q for q in range(2, math.isqrt(p) + 1))
 )
 
-#: Miller-Rabin bases that decide primality for every n < 2,152,302,898,747,
-#: a range that holds ``FACTOR_BOUND``.
-_MR_BASES = (2, 3, 5, 7, 11)
+#: Their product: gcd(n, _SMALL_PRODUCT) is the product of n's primes below 2**8.
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+#: (bound, bases) rows, bounds ascending: Miller-Rabin on the bases of the
+#: first row whose bound exceeds m decides whether m is prime.  Each bound is
+#: the least strong pseudoprime to all of its row's bases (Jaeschke 1993), and
+#: the last is above ``FACTOR_BOUND``.
+_MR_BASES = (
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+)
 
 
 class Factorization(NamedTuple):
@@ -61,8 +74,10 @@ class CrtSystem(NamedTuple):
 def factorize(n: int) -> Factorization:
     """Prime factorization of n.
 
-    Trial division by the primes below 2**8 stops once p * p exceeds the
-    rest.  A rest of 2**16 or more is then factored by :func:`_large_factors`.
+    g = gcd(n, product of the primes below 2**8) names n's small primes, and
+    only those are divided out, ascending, until g is 1 or p * p exceeds the
+    rest.  A rest of 2**16 or more is kept when :func:`_is_prime` says it is
+    prime, and split by :func:`_large_factors` otherwise.
     """
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")
@@ -70,47 +85,55 @@ def factorize(n: int) -> Factorization:
         raise DomainError(f"factorize bound exceeded: {n} > {FACTOR_BOUND}")
     factors = []
     m = n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-    else:  # every small prime divided out; m may still be composite
-        if m >= 1 << 16:
-            factors.extend(_large_factors(m))
-            return Factorization(n, tuple(factors))
-    if m > 1:
+    g = math.gcd(n, _SMALL_PRODUCT)
+    if g > 1:
+        for p in _SMALL_PRIMES:
+            if p * p > m:  # m is 1 or prime, and below 2**16
+                break
+            if g % p == 0:
+                a = 0
+                while m % p == 0:
+                    m //= p
+                    a += 1
+                factors.append((p, a))
+                g //= p
+                if g == 1:  # m has no prime factor below 2**8
+                    break
+    if m >= 1 << 16 and not _is_prime(m):
+        factors.extend(_large_factors(m))
+    elif m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
 
 
 def _large_factors(m: int) -> list[tuple[int, int]]:
-    """Ascending (p, a) pairs of m <= FACTOR_BOUND with no prime factor
-    below 2**8: Miller-Rabin tells primes from composites, and Brent's rho
-    splits each composite until only primes are left."""
+    """Ascending (p, a) pairs of a composite m <= FACTOR_BOUND with no prime
+    factor below 2**8: Brent's rho splits m, and then each composite part,
+    until Miller-Rabin calls every part prime."""
     primes = []
     stack = [m]
     while stack:
         m = stack.pop()
-        if m < 1 << 16 or _is_prime(m):
-            primes.append(m)
-        else:
-            d = _brent_rho(m)
-            stack += (d, m // d)
+        d = _brent_rho(m)
+        for part in (d, m // d):
+            if part < 1 << 16 or _is_prime(part):
+                primes.append(part)
+            else:
+                stack.append(part)
     return sorted(Counter(primes).items())
 
 
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin on ``_MR_BASES``, exact for odd m <= FACTOR_BOUND with
-    no prime factor below 2**8."""
+    """Miller-Rabin on the bases of the first ``_MR_BASES`` row whose bound
+    exceeds m, exact for odd 2**16 <= m <= FACTOR_BOUND with no prime factor
+    below 2**8."""
+    for bound, bases in _MR_BASES:
+        if m < bound:
+            break
     d = m - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue

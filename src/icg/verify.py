@@ -230,7 +230,9 @@ def verify_range(
     orders = range(n_lo, n_hi + 1)
     if len(orders) > 1:  # verify_order checks a lone order before its search
         for n in orders:
-            subset_sizes(n, proper_divisors(n), 1, factorize(n).k)
+            # subset_sizes reads only how many proper divisors there are: tau(n) - 1.
+            f = factorize(n)
+            subset_sizes(n, range(math.prod(a + 1 for a in f.exponents) - 1), 1, f.k)
     # The pool may fork all its workers at once: start no more than orders.
     workers = min(jobs, len(orders))
     if workers > 1:

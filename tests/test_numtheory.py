@@ -11,6 +11,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icg.errors import DomainError, ValidationError
 from icg.numtheory import (
@@ -25,7 +27,7 @@ from icg.numtheory import (
     s_of,
     valuation,
 )
-from icg.numtheory import _brent_rho
+from icg.numtheory import _MR_BASES, _SMALL_PRIMES, _brent_rho, _is_prime
 
 
 def naive_phi(n):
@@ -47,6 +49,36 @@ def naive_factor(n):
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+def strong_probable_prime(m, bases):
+    """Whether the odd m > max(bases) passes Miller-Rabin to every base."""
+    d = m - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_is_prime(m):
+    """The five-base test that factorize used for every rest before it took
+    its bases from a table: trial division by 2..11, then Miller-Rabin on
+    2, 3, 5, 7, 11, exact below 2,152,302,898,747 (above FACTOR_BOUND)."""
+    for p in (2, 3, 5, 7, 11):
+        if m % p == 0:
+            return m == p
+    return m > 1 and strong_probable_prime(m, (2, 3, 5, 7, 11))
 
 
 class TestFactorize:
@@ -153,6 +185,121 @@ class TestFactorizeLarge:
     def test_rho_splits_properly(self, m):
         d = _brent_rho(m)
         assert 1 < d < m and m % d == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2, max_value=FACTOR_BOUND))
+    def test_factors_are_ascending_primes_with_product_n(self, n):
+        factors = factorize(n).factors
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(a >= 1 for _, a in factors)
+        assert math.prod(p**a for p, a in factors) == n
+        assert all(reference_is_prime(p) for p in primes)
+
+
+SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
+def rough(m):
+    """Whether m has no prime factor below 2**8."""
+    return math.gcd(m, SMALL_PRODUCT) == 1
+
+
+class TestIsPrime:
+    def test_table_rows(self):
+        bounds = [bound for bound, _ in _MR_BASES]
+        assert bounds == sorted(set(bounds))
+        assert bounds[-1] > FACTOR_BOUND
+        # A row serves the m from the previous row's bound (from 2**16, the
+        # smallest rest that factorize tests, for the first row) up to its
+        # own; a base of m or more would not be a base mod m.
+        for lo, (_, bases) in zip([1 << 16, *bounds], _MR_BASES):
+            assert max(bases) < lo
+
+    def test_every_rough_odd_below_2_21_against_a_sieve(self):
+        top = 1 << 21
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
+        checked = primes = 0
+        for m in range(1 << 16 | 1, top, 2):
+            if rough(m):
+                assert _is_prime(m) == bool(sieve[m]), m
+                checked += 1
+                primes += sieve[m]
+        assert checked > 100_000 and primes > 50_000
+
+    def test_seeded_rests_of_every_row_against_five_bases(self):
+        rng = random.Random(20)
+        lo = 1 << 16
+        for bound, _ in _MR_BASES:
+            hi = min(bound, FACTOR_BOUND + 1)
+            primes = composites = 0
+            while primes < 200 or composites < 200:
+                m = rng.randrange(lo, hi) | 1
+                if not rough(m):
+                    continue
+                expected = reference_is_prime(m)
+                assert _is_prime(m) == expected, m
+                primes += expected
+                composites += not expected
+            lo = bound
+
+    @pytest.mark.parametrize("row", range(1, len(_MR_BASES)))
+    def test_each_bound_fools_the_previous_row(self, row):
+        # The bound of a row is the least strong pseudoprime to the bases of
+        # the row before it, so a rest equal to it needs the next row.
+        m = _MR_BASES[row - 1][0]
+        assert strong_probable_prime(m, _MR_BASES[row - 1][1])
+        assert not reference_is_prime(m)
+        assert not _is_prime(m)
+        factors = factorize(m).factors
+        assert len(factors) >= 2 and math.prod(p**a for p, a in factors) == m
+        assert all(reference_is_prime(p) for p, _ in factors)
+
+
+# Composites m = p * (j * (p - 1) + 1), p and j * (p - 1) + 1 primes above
+# 2**8, each a strong pseudoprime to all but one base of the _MR_BASES row
+# that serves it.  Together they leave out every base of every row once, so
+# a row without any one of its bases calls one of them prime.
+ALL_BUT_ONE_BASE = [
+    (188191, (3,)),
+    (873181, (2,)),
+    (10679131, (3, 5)),
+    (9863461, (2, 5)),
+    (1373653, (2, 3)),
+    (31470211, (7, 61)),
+    (27509653, (2, 61)),
+    (36307981, (2, 7)),
+    (6987215791, (13, 23, 1662803)),
+    (5165497261, (2, 23, 1662803)),
+    (11974322881, (2, 13, 1662803)),
+    (4759123141, (2, 13, 23)),
+]
+
+
+def row_of(m):
+    return next(i for i, (bound, _) in enumerate(_MR_BASES) if m < bound)
+
+
+class TestEveryBaseIsNeeded:
+    def test_every_base_of_every_row_is_left_out_once(self):
+        left_out = [
+            (row_of(m), *set(_MR_BASES[row_of(m)][1]) - set(fooled))
+            for m, fooled in ALL_BUT_ONE_BASE
+        ]
+        every = [(i, a) for i, (_, bases) in enumerate(_MR_BASES) for a in sorted(bases)]
+        assert sorted(left_out) == every
+
+    @pytest.mark.parametrize("m, fooled", ALL_BUT_ONE_BASE)
+    def test_pseudoprime_to_the_other_bases_is_composite(self, m, fooled):
+        assert rough(m) and m >= 1 << 16
+        assert strong_probable_prime(m, fooled)
+        assert not reference_is_prime(m)
+        assert not _is_prime(m)
+        assert len(factorize(m).factors) == 2
 
 
 class TestValuation:

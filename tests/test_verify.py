@@ -382,6 +382,19 @@ class TestVerifyRange:
         assert verify_range(n, n).to_json() == expected
         assert verify_range(n, n).to_json() == expected  # warm, with the maxima as a floor
 
+    @pytest.mark.parametrize("lo, hi", [(2, 300), (2300, 2320)])
+    def test_range_lists_no_divisors_by_trial_division(self, monkeypatch, lo, hi):
+        # The guard of a multi-order range counts each order's proper
+        # divisors from its factorization, as tau(n) - 1.
+        expected = verify_range(lo, hi).to_json()
+
+        def refuse(m):
+            raise AssertionError(f"proper_divisors({m}) called")
+
+        monkeypatch.setattr(icg.verify, "proper_divisors", refuse)
+        distance_module._exponent_table.cache_clear()
+        assert verify_range(lo, hi).to_json() == expected
+
     def test_csv_to_400_pinned(self):
         # SHA-256 of the report as csv.writer wrote it, before to_csv
         # joined its cells itself.
