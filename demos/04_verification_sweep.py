@@ -12,7 +12,7 @@ Run:  python3 demos/04_verification_sweep.py
 
 import time
 
-from icg.verify import verify_range, verify_transitivity
+from icg.verify import verify_range
 
 t0 = time.perf_counter()
 report = verify_range(2, 150)
@@ -32,8 +32,3 @@ for r in report.records:
         print(f"  t = {t}: predicted {r.predicted.value} "
               f"[{r.predicted.case_label.value}], observed {r.observed_max}, "
               f"witness {list(r.witness_set)}, {r.status.value}")
-
-print()
-result = verify_transitivity(60)
-print(f"vertex transitivity spot check (n <= 60): "
-      f"{result['checked']} instances, ok = {result['ok']}")

@@ -27,10 +27,12 @@ sorted odd exponents): 60, 84, 132 and 140 have the same rows, and so do
 (``_exponent_table``) keeps the step rows by class index, built from
 cached per-prime layers on first use, the class-BFS diameters of the sets
 ``verify`` has measured, keyed by the bitmask of their class indices, and
-``verify``'s per-size maxima.  Every entry is a function of the signature
-alone, so a table is exact for every order of its signature.  ``verify``
-reads a set's diameter from the table first and builds the set's row only
-when it misses.
+``verify``'s witness rows, keyed by the class indices of an order's proper
+divisors in ascending order of value.  Every entry is a function of the
+signature and its key alone, so a table is exact for every order of its
+signature.  ``verify`` reads a set's diameter from the table first and
+builds the set's row only when it misses, and an order whose witness row
+is stored runs no search.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -105,8 +107,10 @@ class DivisorClasses:
     that signature shares it; the row of a divisor set is the elementwise
     OR of its members' rows, ``reach``.  ``diameters`` is the signature's
     map from the class-index bitmask of a connected set to its class-BFS
-    diameter, and ``maxima`` its per-size maximal diameters (t = 1..k,
-    empty until known); ``verify`` reads and fills both.
+    diameter, and ``witnesses`` its map from the class indices of an
+    order's proper divisors, ascending by value, to the maximal diameter
+    of each size t = 1..k and its witness set as class indices; ``verify``
+    reads and fills both.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -123,7 +127,7 @@ class DivisorClasses:
         self.divisors = tuple(divisors)
         self.index = {d: i for i, d in enumerate(divisors)}
         table = _exponent_table(f.n % 2 == 0, tuple(exponents))
-        self._steps, self.diameters, self.maxima = table
+        self._steps, self.diameters, self.witnesses = table
 
     def step(self, d: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
@@ -158,12 +162,15 @@ class DivisorClasses:
 # Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
-def _exponent_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict, list]:
+def _exponent_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict, dict]:
     """The step rows by class index, the class-BFS diameters by
-    class-index bitmask and the per-size maxima of the orders of one
-    exponent signature: whether 2 divides n and its exponents in the digit
-    order of ``DivisorClasses``."""
-    return {}, {}, []
+    class-index bitmask and the witness rows of the orders of one exponent
+    signature: whether 2 divides n and its exponents in the digit order of
+    ``DivisorClasses``.  A witness row is keyed by the class indices of an
+    order's proper divisors in ascending order of value, and holds, for
+    each size t = 1..k, the maximal diameter and its witness set as class
+    indices."""
+    return {}, {}, {}
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND

@@ -11,12 +11,16 @@ The sets are searched depth first over the proper divisors, so each set
 comes before its extensions and the sets of one size come in lexicographic
 order.  Each connected set gets a BFS diameter, which bounds the diameter
 of every extension; the extensions are skipped when it is no more than the
-record of every larger size.  A skipped set cannot strictly improve a
-record, so each witness is still the first set, by size then
-lexicographically, to reach its maximum, as over the full power set.  An
-order with more than ``MAX_SUBSETS`` sets of at most k elements is refused
-before any BFS, although the search runs a BFS on far fewer of them, and
-a range that holds such an order is refused before any order is searched.
+record of every larger size.  Every set of one level of the search extends
+the level's prefix, so the diameter of the prefix, or of its nearest
+connected ancestor when it is not connected, bounds them all, and the
+level returns once that bound is no more than the record of its size and
+of every larger one.  A skipped set cannot strictly improve a record, so
+each witness is still the first set, by size then lexicographically, to
+reach its maximum, as over the full power set.  An order with more than
+``MAX_SUBSETS`` sets of at most k elements is refused before any BFS,
+although the search runs a BFS on far fewer of them, and a range that
+holds such an order is refused before any order is searched.
 
 A set's diameter is a function of the exponent signature of n (whether
 2 | n, the exponent of 2 and the sorted odd exponents) and of the class
@@ -29,15 +33,26 @@ with the step row of its last divisor, and a level of the search with no
 known row builds its prefix's row once, on its first miss.  With ``jobs``
 above 1 each pool worker fills its own tables.
 
-The per-size maxima are a function of the signature too, so the first
-order of a signature searched in a process stores them in its table.  A
-later order runs the same search with them as a floor: a set's extensions
-are skipped when each larger size holds a record they cannot beat or has
-a known maximum above the set's diameter, and a level of the search stops
-once its size and every larger one hold a set at its known maximum.  Only
-the first set, by size then lexicographically, to reach a size's maximum
-can be its witness, and no skip passes over one, so the witnesses do not
-change.
+The search reads the divisors only through their class indices, taken in
+ascending order of value: connectivity, rows, diameters, the floor below
+and the guard are all functions of the class digits.  So its result, each
+size's maximum and witness written as class indices, is a function of the
+signature and of that sequence of class indices, the order's divisor
+order.  The signature's table keeps one witness row per divisor order.  An
+order whose row is stored maps the row's indices through its own divisors
+and runs no search: 2..3000 has 2,999 orders but 339 divisor orders.  The
+guard runs before the lookup, so an order it refuses is refused whether
+its row is stored or not.
+
+The per-size maxima are a function of the signature alone, so every row
+of a signature holds the same ones.  A new divisor order of a known
+signature runs the search with the maxima of any stored row as a floor: a
+set's extensions are skipped when each larger size holds a record they
+cannot beat or has a known maximum above the set's diameter, and a level
+of the search stops once its size and every larger one hold a set at its
+known maximum.  Only the first set, by size then lexicographically, to
+reach a size's maximum can be its witness, and no skip passes over one,
+so the witnesses do not change.
 
 The rest of an order's work outside the search is read, not recomputed.
 The proper divisors come from the order's ``DivisorClasses``, which lists
@@ -58,12 +73,11 @@ from enum import Enum
 from operator import or_
 from typing import NamedTuple
 
-from .canonical import enumerate_separated, subset_sizes
-from .core import make_instance
-from .distance import DivisorClasses, apsp_oracle, class_diameter
+from .canonical import subset_sizes
+from .distance import DivisorClasses, class_diameter
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
-from .numtheory import factorize, proper_divisors
+from .numtheory import factorize
 
 
 class Status(str, Enum):
@@ -103,18 +117,44 @@ def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
     classes = DivisorClasses(f)
-    diameters = classes.diameters
-    k = f.k
     divisors = sorted(classes.divisors)[:-1]  # the proper ones; classes holds n too
-    bits = [1 << classes.index[d] for d in divisors]
-    subset_sizes(n, divisors, 1, k)
-    known = classes.maxima
+    subset_sizes(n, divisors, 1, f.k)
+    order = tuple(map(classes.index.__getitem__, divisors))
+    row = classes.witnesses.get(order)
+    if row is None:
+        row = _witness_row(classes, divisors, order, f.k)
+        classes.witnesses[order] = row
+    divisor_of = classes.divisors.__getitem__
+    best = [(observed, tuple(map(divisor_of, witness))) for observed, witness in row]
+    predictions = prediction_row(f)
+    records = []
+    for t, (predicted, (observed, witness)) in enumerate(zip(predictions.per_t, best), 1):
+        status = Status.MATCH if predicted.value == observed else Status.MISMATCH
+        records.append(VerificationRecord(n, t, predicted, observed, witness, status))
+    predicted = predictions.overall
+    # The first strict maximum over sizes 1..k, smallest size first.
+    observed, witness = max(best, key=lambda entry: entry[0])
+    status = Status.MATCH if predicted.value == observed else Status.MISMATCH
+    records.append(VerificationRecord(n, None, predicted, observed, witness, status))
+    return records
+
+
+def _witness_row(
+    classes: DivisorClasses, divisors: list[int], order: tuple[int, ...], k: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each size t = 1..k, the maximal diameter of a connected set of t
+    proper divisors and the first such set, by size then lexicographically,
+    as the class indices of its members; divisors lists the proper divisors
+    ascending and order their class indices."""
+    diameters = classes.diameters
+    known = next(iter(classes.witnesses.values()), None)
     # floor[t] is the known maximum of size t, 0 while it is unknown.
-    floor = (0, *known) if known else (0,) * (k + 1)
+    floor = (0, *(m for m, _ in known)) if known else (0,) * (k + 1)
     best = [(0, ())] * (k + 1)  # t -> (max diam, witness), (0, ()) before any set
     # bar[t]: no set of size t with diameter <= bar[t] is the first to reach its maximum.
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
+    bits = [1 << i for i in order]
 
     def extend(
         prefix: tuple[int, ...],
@@ -122,11 +162,13 @@ def verify_order(n: int) -> list[VerificationRecord]:
         prefix_mask: int,
         prefix_row: list[int] | None,
         start: int,
+        cap: int,
     ) -> None:
         """Visit each set prefix + (d,) with d from divisors[start:], then
-        its extensions; prefix_mask has the class indices of prefix, and
+        its extensions; prefix_mask has the class indices of prefix,
         prefix_row is its successor row, or None until a set here misses
-        the signature's diameters."""
+        the signature's diameters, and cap bounds the diameter of every set
+        here: that of prefix's nearest connected ancestor, prefix included."""
         nonlocal done
         size = len(prefix) + 1
         for i in range(start, len(divisors)):
@@ -146,6 +188,7 @@ def verify_order(n: int) -> list[VerificationRecord]:
                     row = list(map(or_, prefix_row, classes.step(divisors[i])))
                     diam = class_diameter(row)
                     if diam is None:
+                        n = classes.divisors[-1]
                         raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                     diameters[mask] = diam
                 if diam > best[size][0]:
@@ -154,29 +197,22 @@ def verify_order(n: int) -> list[VerificationRecord]:
                     if diam == floor[size]:
                         while done > 1 and best[done - 1][0] == floor[done - 1]:
                             done -= 1
+                    if cap <= min(bar[size:]):
+                        return  # no later set here can beat a record or reach a maximum
                 # Every extension has diameter <= diam: none can beat a
                 # record or reach a known maximum above diam.
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
             if row is None and prefix_row is not None:
                 row = list(map(or_, prefix_row, classes.step(divisors[i])))
-            extend(node, node_gcd, mask, row, i + 1)
+            extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
+            if cap <= min(bar[size:]):
+                return
 
-    extend((), 0, 0, None, 0)
-    if not known:
-        known.extend(diam for diam, _ in best[1:])
-    predictions = prediction_row(f)
-    records = []
-    for t, predicted in enumerate(predictions.per_t, 1):
-        observed, witness = best[t]
-        status = Status.MATCH if predicted.value == observed else Status.MISMATCH
-        records.append(VerificationRecord(n, t, predicted, observed, witness, status))
-    predicted = predictions.overall
-    # The first strict maximum over sizes 1..k, smallest size first.
-    observed, witness = max(best[1:], key=lambda entry: entry[0])
-    status = Status.MATCH if predicted.value == observed else Status.MISMATCH
-    records.append(VerificationRecord(n, None, predicted, observed, witness, status))
-    return records
+    # No diameter reaches the number of classes.
+    extend((), 0, 0, None, 0, len(classes.divisors))
+    index = classes.index
+    return tuple((diam, tuple(index[d] for d in witness)) for diam, witness in best[1:])
 
 
 class RangeReport(NamedTuple):
@@ -251,32 +287,3 @@ def verify_range(
                     pool.shutdown(cancel_futures=True)
                 break
     return RangeReport(n_lo, n_hi, tuple(records))
-
-
-def verify_transitivity(n_max: int) -> dict:
-    """Constant row eccentricity (vertex transitivity) via the all-pairs
-    oracle, over deterministic sample instances for each order."""
-    checked = 0
-    failures = []
-    for n in range(3, n_max + 1):
-        divisor_sets = [[1], list(proper_divisors(n))]
-        k = factorize(n).k
-        if k >= 2:
-            separated = enumerate_separated(n, 2)
-            if separated:
-                divisor_sets.append(list(separated[0].divisors))
-        seen = set()
-        for divisors in divisor_sets:
-            key = tuple(divisors)
-            if key in seen:
-                continue
-            seen.add(key)
-            g = make_instance(n, divisors)
-            table = apsp_oracle(g)
-            eccs = {
-                None if any(d is None for d in row) else max(row) for row in table
-            }
-            checked += 1
-            if len(eccs) != 1:
-                failures.append({"n": n, "divisors": divisors})
-    return {"checked": checked, "failures": failures, "ok": not failures}

@@ -367,7 +367,7 @@ class TestShapeTable:
         # undoes: the prime of exponent 2 takes the higher digit.
         for pair in ((90, 150), (45, 75)):
             a, b = (DivisorClasses(factorize(n)) for n in pair)
-            assert a.diameters is b.diameters and a.maxima is b.maxima, pair
+            assert a.diameters is b.diameters and a.witnesses is b.witnesses, pair
             for i in range(len(a.divisors)):
                 assert a.step(a.divisors[i]) is b.step(b.divisors[i]), (pair, i)
         assert DivisorClasses(factorize(90)).divisors[:6] == (1, 2, 5, 10, 3, 6)
@@ -376,7 +376,7 @@ class TestShapeTable:
         # 6 = 2 * 3 and 15 = 3 * 5 have the same exponents, but adding two
         # odd symbols of 6 never gives an odd vertex.
         six, fifteen = DivisorClasses(factorize(6)), DivisorClasses(factorize(15))
-        assert six.diameters is not fifteen.diameters and six.maxima is not fifteen.maxima
+        assert six.diameters is not fifteen.diameters and six.witnesses is not fifteen.witnesses
         assert six.step(1) != fifteen.step(1)
 
 

@@ -22,7 +22,6 @@ from icg.verify import (
     Status,
     verify_order,
     verify_range,
-    verify_transitivity,
 )
 
 # The package re-exports the function ``distance`` under the module's name.
@@ -170,9 +169,10 @@ class TestPrunedSearch:
         # Each BFS gets the row its set's DFS ancestors built up, which
         # must be the set's own row; the sets searched are those of the
         # pruned search, rebuilt here from rows made per set.  Each order
-        # is searched cold, then floored by the maxima the cold search
-        # stored in its signature's table.  Both searches start from a
-        # table with no diameters, so that no diameter saves a BFS.
+        # is searched cold, then floored by the maxima of a witness row
+        # stored under another divisor order of its signature.  Both
+        # searches start from a table with no diameters, so that no
+        # diameter saves a BFS.
         received = []
 
         def spy(row):
@@ -191,35 +191,48 @@ class TestPrunedSearch:
                 expected = []
                 best = {}
 
-                def extend(prefix, start):
+                def settled(diam, size):
+                    """No set of size or more below diam can be the first
+                    to reach its size's maximum."""
+                    return all(
+                        diam <= best.get(s, 0) or diam < floor.get(s, 0)
+                        for s in range(size, f.k + 1)
+                    )
+
+                def extend(prefix, start, cap):
+                    # cap: the diameter of prefix's nearest connected ancestor.
                     for i in range(start, len(divs)):
                         if floor and all(
                             best.get(s) == floor[s] for s in range(len(prefix) + 1, f.k + 1)
                         ):
                             return
                         node = prefix + (divs[i],)
+                        diam = cap
                         if math.gcd(*node) == 1:
                             row = classes.reach(node)
                             expected.append(row)
                             diam = class_diameter(row)
-                            best[len(node)] = max(best.get(len(node), 0), diam)
-                            if all(
-                                diam <= best.get(s, 0) or diam < floor.get(s, 0)
-                                for s in range(len(node) + 1, f.k + 1)
-                            ):
+                            if diam > best.get(len(node), 0):
+                                best[len(node)] = diam
+                                if settled(cap, len(node)):
+                                    return
+                            if settled(diam, len(node) + 1):
                                 continue
                         if len(node) < f.k:
-                            extend(node, i + 1)
+                            extend(node, i + 1, diam)
+                            if settled(cap, len(node)):
+                                return
 
-                extend((), 0)
+                extend((), 0, math.inf)
                 return expected, best
 
             cold, maxima = search({})
             warm, _ = search(maxima)
-            for known, expected in (([], cold), (maxima, warm)):
+            for known, expected in (({}, cold), (maxima, warm)):
                 received.clear()
                 distance_module._exponent_table.cache_clear()
-                DivisorClasses(f).maxima.extend(known[t] for t in sorted(known))
+                if known:  # no order's proper divisors are an empty key
+                    DivisorClasses(f).witnesses[()] = tuple((known[t], ()) for t in sorted(known))
                 verify_order(n)
                 assert received == expected, n
 
@@ -237,9 +250,10 @@ class TestPrunedSearch:
 
 
 class TestSignatureMaxima:
-    """verify_order floors its search with the per-size maxima that the
-    table of its order's exponent signature holds: a stored maximum that
-    is too low could end a search early unnoticed."""
+    """verify_order floors the search of a new divisor order with the
+    per-size maxima of a witness row that the table of its order's exponent
+    signature holds: a stored maximum that is too low could end a search
+    early unnoticed."""
 
     def test_orders_of_a_signature_share_maxima(self):
         maxima = {}
@@ -249,7 +263,8 @@ class TestSignatureMaxima:
             exponents = dict(factorize(n).factors)
             signature = exponents.pop(2, 0), tuple(sorted(exponents.values()))
             maxima.setdefault(signature, set()).add(observed)
-            assert DivisorClasses(factorize(n)).maxima == list(observed), n
+            rows = DivisorClasses(factorize(n)).witnesses.values()
+            assert [tuple(m for m, _ in row) for row in rows] == [observed], n
         assert len(maxima) == 67
         assert {sig: found for sig, found in maxima.items() if len(found) > 1} == {}
 
@@ -293,6 +308,7 @@ class TestShapeTable:
             def __init__(self, f):
                 super().__init__(f)
                 self.diameters = Checked(self)
+                self.witnesses = {}  # no stored row: every order searches
 
         monkeypatch.setattr(icg.verify, "DivisorClasses", CheckedClasses)
         for n in range(2, 401):
@@ -301,8 +317,8 @@ class TestShapeTable:
         assert len(served) > 2000 and len(set(served)) > 300
 
     def test_second_order_of_a_shape_skips_measured_sets(self, monkeypatch):
-        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a signature.  Both are
-        # searched without stored maxima.
+        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a signature but not
+        # a divisor order.  Both are searched without a stored witness row.
         distance_module._exponent_table.cache_clear()
         received = []
 
@@ -320,7 +336,7 @@ class TestShapeTable:
         measured = set(table)
         assert len(measured) == len(received) - cold
         received.clear()
-        classes.maxima.clear()
+        classes.witnesses.clear()
         verify_order(84)
         # Each BFS stores its set, so every BFS was on a set new to the table.
         assert len(received) == len(set(table) - measured) < cold
@@ -332,6 +348,74 @@ class TestShapeTable:
         chunks = {n: verify_order(n) for n in orders}
         report = RangeReport(2, 1000, tuple(r for n in sorted(chunks) for r in chunks[n]))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
+
+
+class TestWitnessRows:
+    """A search reads the divisors only through their class indices in
+    ascending order of value, so verify_order keeps one witness row per
+    signature and divisor order, and an order whose row is stored runs no
+    search."""
+
+    def test_orders_of_one_row_skip_the_search(self, monkeypatch):
+        # 77 = 7 * 11 and 91 = 7 * 13 list their classes in one order.
+        distance_module._exponent_table.cache_clear()
+        cold = verify_order(91)
+        distance_module._exponent_table.cache_clear()
+        verify_order(77)
+
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(icg.verify, "class_diameter", refuse)
+        monkeypatch.setattr(DivisorClasses, "reach", refuse)
+        assert verify_order(91) == cold
+        assert len(DivisorClasses(factorize(91)).witnesses) == 1
+
+    def test_divisor_orders_of_a_signature_get_their_own_rows(self):
+        # 45 = 3^2 * 5 lists 5 before 9 = 3^2; 75 = 3 * 5^2 lists 3 before
+        # 25 = 5^2, so their classes come in different orders.
+        distance_module._exponent_table.cache_clear()
+        verify_order(45)
+        verify_order(75)
+        rows = DivisorClasses(factorize(45)).witnesses
+        assert DivisorClasses(factorize(75)).witnesses is rows
+        assert sorted(rows) == [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
+        maxima = {tuple(m for m, _ in row) for row in rows.values()}
+        assert len(maxima) == 1
+
+    def test_guard_refuses_before_the_lookup(self):
+        # 4620 is the first order the subset guard refuses: a row stored
+        # under its divisor order must not let it through.
+        distance_module._exponent_table.cache_clear()
+        classes = DivisorClasses(factorize(4620))
+        order = tuple(classes.index[d] for d in sorted(classes.divisors)[:-1])
+        classes.witnesses[order] = ((1, (0,)),) * 5
+        with pytest.raises(ResourceLimitError):
+            verify_order(4620)
+        distance_module._exponent_table.cache_clear()
+
+    def test_cold_sweep_to_3000_searches_once_per_row(self, monkeypatch):
+        # 2,999 orders, 99 signatures and 339 divisor orders.
+        searches = []
+        bfs = []
+        witness_row = icg.verify._witness_row
+
+        def count_searches(*args):
+            searches.append(args)
+            return witness_row(*args)
+
+        def count_bfs(row):
+            bfs.append(None)
+            return class_diameter(row)
+
+        monkeypatch.setattr(icg.verify, "_witness_row", count_searches)
+        monkeypatch.setattr(icg.verify, "class_diameter", count_bfs)
+        distance_module._exponent_table.cache_clear()
+        verify_range(2, 3000)
+        tables = {id(t): t for t in (DivisorClasses(factorize(n)).witnesses for n in range(2, 3001))}
+        assert sum(map(len, tables.values())) == len(searches) == 339
+        # A search per order made 55,078 BFS calls; the level cut saves some.
+        assert len(bfs) == 51227
 
 
 class TestKnownCounterexamples:
@@ -377,10 +461,10 @@ class TestVerifyRange:
         def refuse(m):
             raise AssertionError(f"proper_divisors({m}) called")
 
-        monkeypatch.setattr(icg.verify, "proper_divisors", refuse)
+        monkeypatch.setattr(icg.verify, "proper_divisors", refuse, raising=False)
         distance_module._exponent_table.cache_clear()
         assert verify_range(n, n).to_json() == expected
-        assert verify_range(n, n).to_json() == expected  # warm, with the maxima as a floor
+        assert verify_range(n, n).to_json() == expected  # warm, from the witness row
 
     @pytest.mark.parametrize("lo, hi", [(2, 300), (2300, 2320)])
     def test_range_lists_no_divisors_by_trial_division(self, monkeypatch, lo, hi):
@@ -391,7 +475,7 @@ class TestVerifyRange:
         def refuse(m):
             raise AssertionError(f"proper_divisors({m}) called")
 
-        monkeypatch.setattr(icg.verify, "proper_divisors", refuse)
+        monkeypatch.setattr(icg.verify, "proper_divisors", refuse, raising=False)
         distance_module._exponent_table.cache_clear()
         assert verify_range(lo, hi).to_json() == expected
 
@@ -484,14 +568,6 @@ class TestVerifyRange:
             verify_range(5, 4)
         with pytest.raises(ValidationError):
             verify_range(1, 10)
-
-
-class TestTransitivity:
-    def test_small_orders(self):
-        result = verify_transitivity(40)
-        assert result["ok"]
-        assert result["checked"] > 0
-        assert result["failures"] == []
 
 
 class TestSubgraphMonotonicity:
