@@ -119,13 +119,15 @@ def verify_order(n: int) -> list[VerificationRecord]:
     classes = DivisorClasses(f)
     divisors = sorted(classes.divisors)[:-1]  # the proper ones; classes holds n too
     subset_sizes(n, divisors, 1, f.k)
-    order = tuple(map(classes.index.__getitem__, divisors))
+    index_of = classes.index.__getitem__
+    order = tuple(map(index_of, divisors))
     row = classes.witnesses.get(order)
     if row is None:
-        row = _witness_row(classes, divisors, order, f.k)
-        classes.witnesses[order] = row
-    divisor_of = classes.divisors.__getitem__
-    best = [(observed, tuple(map(divisor_of, witness))) for observed, witness in row]
+        best = _search(classes, divisors, order, f.k)
+        classes.witnesses[order] = tuple((diam, tuple(map(index_of, w))) for diam, w in best)
+    else:
+        divisor_of = classes.divisors.__getitem__
+        best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
     predictions = prediction_row(f)
     records = []
     for t, (predicted, (observed, witness)) in enumerate(zip(predictions.per_t, best), 1):
@@ -139,13 +141,13 @@ def verify_order(n: int) -> list[VerificationRecord]:
     return records
 
 
-def _witness_row(
+def _search(
     classes: DivisorClasses, divisors: list[int], order: tuple[int, ...], k: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
+) -> list[tuple[int, tuple[int, ...]]]:
     """For each size t = 1..k, the maximal diameter of a connected set of t
-    proper divisors and the first such set, by size then lexicographically,
-    as the class indices of its members; divisors lists the proper divisors
-    ascending and order their class indices."""
+    proper divisors and the first such set, by size then lexicographically;
+    divisors lists the proper divisors ascending and order their class
+    indices."""
     diameters = classes.diameters
     known = next(iter(classes.witnesses.values()), None)
     # floor[t] is the known maximum of size t, 0 while it is unknown.
@@ -197,7 +199,9 @@ def _witness_row(
                     if diam == floor[size]:
                         while done > 1 and best[done - 1][0] == floor[done - 1]:
                             done -= 1
-                    if cap <= min(bar[size:]):
+                    # The level cut, tested on bar[size] alone before the
+                    # slice, which costs when taken on most visits.
+                    if cap <= bar[size] and cap <= min(bar[size:]):
                         return  # no later set here can beat a record or reach a maximum
                 # Every extension has diameter <= diam: none can beat a
                 # record or reach a known maximum above diam.
@@ -206,13 +210,12 @@ def _witness_row(
             if row is None and prefix_row is not None:
                 row = list(map(or_, prefix_row, classes.step(divisors[i])))
             extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
-            if cap <= min(bar[size:]):
+            if cap <= bar[size] and cap <= min(bar[size:]):
                 return
 
     # No diameter reaches the number of classes.
     extend((), 0, 0, None, 0, len(classes.divisors))
-    index = classes.index
-    return tuple((diam, tuple(index[d] for d in witness)) for diam, witness in best[1:])
+    return best[1:]
 
 
 class RangeReport(NamedTuple):

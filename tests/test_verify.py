@@ -398,17 +398,17 @@ class TestWitnessRows:
         # 2,999 orders, 99 signatures and 339 divisor orders.
         searches = []
         bfs = []
-        witness_row = icg.verify._witness_row
+        search = icg.verify._search
 
         def count_searches(*args):
             searches.append(args)
-            return witness_row(*args)
+            return search(*args)
 
         def count_bfs(row):
             bfs.append(None)
             return class_diameter(row)
 
-        monkeypatch.setattr(icg.verify, "_witness_row", count_searches)
+        monkeypatch.setattr(icg.verify, "_search", count_searches)
         monkeypatch.setattr(icg.verify, "class_diameter", count_bfs)
         distance_module._exponent_table.cache_clear()
         verify_range(2, 3000)
