@@ -14,13 +14,13 @@ separation is a property of the members' prime-support masks (bit i set
 when the i-th prime divides d): the primes eligible for a member with
 mask m are the bits of AND(other masks) & ~m.  The leave-one-out gcd
 stays the definition, and the tests check the masks against it; the code
-reads the masks from one cached table per order, which maps every
-divisor of n to its mask, and caches the eligible bits per tuple of
-masks.  ``enumerate_separated`` builds its sets as products of the
-divisors bucketed by mask, over the separated mask sets of size t, which
-depend only on k and t.  Every enumeration of divisor subsets is sized by
-``subset_sizes``, the one place that refuses a request for more than
-``MAX_SUBSETS`` sets.
+reads the masks, the primes of each mask and the divisors bucketed by
+mask from the order table of ``icg.distance``, and caches the eligible
+bits per tuple of masks.  ``enumerate_separated`` builds its sets as
+products of the buckets, over the separated mask sets of size t, which
+depend only on k and t.  Every enumeration of divisor subsets lists the
+divisors from the order table and is sized by ``subset_sizes``, the one
+place that refuses a request for more than ``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ import math
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
 from operator import and_
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .core import DivisorSet, make_divisor_set
+from .distance import divisor_classes
 from .errors import DomainError, ResourceLimitError
-from .numtheory import Factorization, factorize, proper_divisors
+from .numtheory import Factorization, factorize
 
 #: Refuse to enumerate more divisor subsets than this for one order; the
 #: full power set passes exactly when n has at most 20 proper divisors.
@@ -53,42 +54,10 @@ class SeparationWitness(NamedTuple):
         return {"assignment": [{"divisor": d, "prime": p} for d, p in self.assignment]}
 
 
-class _Support(NamedTuple):
-    """The prime-support masks of one order's divisors; read-only."""
-
-    mask: dict[int, int]  # every divisor of n, n included -> its mask
-    primes: tuple[tuple[int, ...], ...]  # mask -> the primes of its bits, ascending
-    divisors: tuple[int, ...]  # the proper divisors, ascending
-    buckets: tuple[tuple[int, ...], ...]  # mask -> the proper divisors with it, ascending
-
-
-@lru_cache(maxsize=8)  # callers go order by order; tau(n) = 6720 takes about 1.1 MB
-def _support(f: Factorization) -> _Support:
-    """The support table of n, built one prime at a time from ``f.factors``."""
-    mask = {1: 0}
-    primes: list[tuple[int, ...]] = [()]
-    bit = 1
-    for p, a in f.factors:
-        below = list(mask.items())
-        q = p
-        for _ in range(a):
-            for d, m in below:
-                mask[d * q] = m | bit
-            q *= p
-        for ps in primes[:]:
-            primes.append(ps + (p,))
-        bit <<= 1
-    divisors = sorted(mask)[:-1]
-    buckets: list[list[int]] = [[] for _ in primes]
-    for d in divisors:
-        buckets[mask[d]].append(d)
-    return _Support(mask, tuple(primes), tuple(divisors), tuple(map(tuple, buckets)))
-
-
 def support_masks(f: Factorization, divisors: tuple[int, ...]) -> tuple[int, ...]:
     """The prime-support mask of each divisor of n (bit i set when the i-th
     prime of n divides it), in order."""
-    mask = _support(f).mask
+    mask = divisor_classes(f).masks
     return tuple([mask[d] for d in divisors])
 
 
@@ -103,10 +72,10 @@ def eligible_bits(k: int, masks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _eligible(f: Factorization, divisors: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The eligible primes of each divisor, from the support table."""
-    table = _support(f)
-    mask = table.mask
-    return [table.primes[b] for b in eligible_bits(f.k, tuple([mask[d] for d in divisors]))]
+    """The eligible primes of each divisor, from the order table."""
+    classes = divisor_classes(f)
+    mask = classes.masks
+    return [classes.mask_primes[b] for b in eligible_bits(f.k, tuple([mask[d] for d in divisors]))]
 
 
 def eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[int]]:
@@ -145,9 +114,9 @@ def minimal_connected(ds: DivisorSet) -> bool:
     )
 
 
-def subset_sizes(n: int, divisors: Sequence[int], lo: int, hi: int | None) -> range:
-    """The sizes lo..hi, capped at len(divisors) (any size from lo when hi
-    is None), of subsets of n's proper divisors.
+def subset_sizes(n: int, count: int, lo: int, hi: int | None) -> range:
+    """The sizes lo..hi, capped at count (any size from lo when hi is
+    None), of subsets of n's count proper divisors.
 
     Raises DomainError when lo < 1, and ResourceLimitError when there are
     more than MAX_SUBSETS subsets of these sizes, whether or not the caller
@@ -155,14 +124,13 @@ def subset_sizes(n: int, divisors: Sequence[int], lo: int, hi: int | None) -> ra
     """
     if lo < 1:
         raise DomainError(f"cardinality must be >= 1, got {lo}")
-    top = len(divisors) if hi is None else min(hi, len(divisors))
-    sizes = range(lo, top + 1)
-    count = _subset_count(len(divisors), lo, top)
-    if count > MAX_SUBSETS:
+    top = count if hi is None else min(hi, count)
+    subsets = _subset_count(count, lo, top)
+    if subsets > MAX_SUBSETS:
         raise ResourceLimitError(
-            f"n={n} has {count} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
+            f"n={n} has {subsets} divisor subsets of size {lo}..{top}, cap is {MAX_SUBSETS}"
         )
-    return sizes
+    return range(lo, top + 1)
 
 
 @lru_cache(maxsize=256)  # bounds memory; verify_range(2, 3000) reads 48 keys
@@ -178,8 +146,8 @@ def divisor_subsets(n: int, lo: int = 1, hi: int | None = None) -> Iterator[tupl
     Raises ResourceLimitError, before yielding anything, when there are
     more than MAX_SUBSETS of them.
     """
-    divisors = proper_divisors(n)
-    sizes = subset_sizes(n, divisors, lo, hi)
+    divisors = divisor_classes(factorize(n)).proper_divisors
+    sizes = subset_sizes(n, len(divisors), lo, hi)
     return chain.from_iterable(combinations(divisors, size) for size in sizes)
 
 
@@ -230,9 +198,9 @@ def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     f = factorize(n)
     if t > f.k:
         return []
-    table = _support(f)
-    subset_sizes(n, table.divisors, t, t)
-    buckets = table.buckets
+    classes = divisor_classes(f)
+    subset_sizes(n, len(classes.proper_divisors), t, t)
+    buckets = classes.buckets
     combos = sorted(
         tuple(sorted(combo))
         for masks in _separated_masks(f.k, t)

@@ -21,18 +21,24 @@ of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
 frontier class.  The class indices put 2 in the lowest digit, then the
 odd primes by ascending exponent, ties by prime, and the rules see a prime
 only through p == 2 and its exponent.  So a step row depends on n only
-through its exponent signature (whether 2 | n, the exponent of 2 and the
-sorted odd exponents): 60, 84, 132 and 140 have the same rows, and so do
-90 = 2 3^2 5 and 150 = 2 3 5^2.  One table per recent signature
-(``_exponent_table``) keeps the step rows by class index, built from
-cached per-prime layers on first use, the class-BFS diameters of the sets
-``verify`` has measured, keyed by the bitmask of their class indices, and
-``verify``'s witness rows, keyed by the class indices of an order's proper
-divisors in ascending order of value.  Every entry is a function of the
-signature and its key alone, so a table is exact for every order of its
-signature.  ``verify`` reads a set's diameter from the table first and
-builds the set's row only when it misses, and an order whose witness row
-is stored runs no search.
+through its exponent signature (``numtheory.Signature``): the exponent of
+2, 0 for odd n, and the sorted odd exponents.  60, 84, 132 and 140 have
+the same rows, and so do 90 = 2 3^2 5 and 150 = 2 3 5^2.  The predictions
+of ``extremal`` read n only through its signature too.
+
+Two cached tables hold what is shared.  The order table of n is its
+``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
+orders: the one place that lists an order's divisors, by class index and
+ascending, and, on first read, the prime-support data of ``canonical``.
+The signature table, ``_exponent_table``, kept for the 128 most recent
+signatures, holds the step rows by class index, built from cached
+per-prime layers on first use, the class-BFS diameters that ``verify``
+has measured, keyed by the bitmask of their sets' class indices, and
+``verify``'s witness rows, keyed by an order's divisor order: the class
+indices of its proper divisors, ascending by value.  Every entry is a
+function of the signature and its key alone, so a table is exact for every
+order of its signature.  An order table looks its signature table up on
+every read, so it never reads an evicted one.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -57,7 +63,7 @@ from typing import NamedTuple
 
 from .core import IcgInstance, is_connected
 from .errors import DomainError, ResourceLimitError
-from .numtheory import Factorization
+from .numtheory import Factorization, Signature
 
 #: Cap on n for the all-pairs oracle.
 ORACLE_BOUND = 5000
@@ -93,41 +99,62 @@ class DiameterResult(NamedTuple):
 
 
 class DivisorClasses:
-    """The divisor classes of Z_n, indexed in mixed radix.
+    """The divisor classes of Z_n, indexed in mixed radix: the order table
+    of n, see the module docstring.
 
     Class index i has the digit (i // stride_p) % (a_p + 1) = v_p of its
     divisor for each prime p, so a set of classes is one bitmask integer.
-    The prime 2 takes the lowest digit, then the odd primes follow by
-    ascending exponent, ties by prime, so the index layout is the same for
-    every order of n's exponent signature.  Index 0 is the class 1 and the
-    top index is the class n, i.e. vertex 0.  A successor row maps each
-    class index to the mask of classes one step away.  The row of one
-    symbol class is built from cached per-prime layers on first use and
-    kept in the table of n's signature, so every instance of an order of
-    that signature shares it; the row of a divisor set is the elementwise
-    OR of its members' rows, ``reach``.  ``diameters`` is the signature's
-    map from the class-index bitmask of a connected set to its class-BFS
-    diameter, and ``witnesses`` its map from the class indices of an
-    order's proper divisors, ascending by value, to the maximal diameter
-    of each size t = 1..k and its witness set as class indices; ``verify``
-    reads and fills both.
+    Index 0 is the class 1 and the top index is the class n, i.e. vertex 0.
+    A successor row maps each class index to the mask of classes one step
+    away; the row of a divisor set is the elementwise OR of its members'
+    rows, ``reach``.  ``diameters`` and ``witnesses`` are the maps of n's
+    signature table that ``verify`` reads and fills.
     """
 
     def __init__(self, f: Factorization) -> None:
         # A stable sort: primes of one exponent stay ascending.
         self._factors = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1]))
-        self._strides = []
-        exponents = []
         divisors = [1]
         for p, a in self._factors:
-            self._strides.append(len(divisors))
-            exponents.append(a)
             divisors = [d * p**e for e in range(a + 1) for d in divisors]
         #: divisors[i] is the divisor of class index i.
         self.divisors = tuple(divisors)
         self.index = {d: i for i, d in enumerate(divisors)}
-        table = _exponent_table(f.n % 2 == 0, tuple(exponents))
-        self._steps, self.diameters, self.witnesses = table
+        #: The proper divisors, ascending.
+        self.proper_divisors = tuple(sorted(divisors)[:-1])
+        self.signature = f.signature
+
+    @property
+    def diameters(self) -> dict[int, int]:
+        return _exponent_table(self.signature)[1]
+
+    @property
+    def witnesses(self) -> dict[tuple[int, ...], tuple]:
+        return _exponent_table(self.signature)[2]
+
+    def __getattr__(self, name: str):
+        """Builds the prime-support data of ``canonical`` on the first read
+        of any of it: ``masks`` maps each divisor of n, n included, to its
+        mask, with bit i set when the i-th prime of n, ascending, divides
+        it, and ``mask_primes`` and ``buckets`` hold the primes and the
+        proper divisors of each mask, ascending."""
+        if name not in ("masks", "mask_primes", "buckets"):
+            raise AttributeError(name)
+        primes = sorted(p for p, _ in self._factors)
+        masks = [0]
+        for p, a in self._factors:
+            bit = 1 << primes.index(p)
+            masks += [m | bit for m in masks] * a
+        self.masks = mask = dict(zip(self.divisors, masks))
+        mask_primes: list[tuple[int, ...]] = [()]
+        for p in primes:
+            mask_primes += [ps + (p,) for ps in mask_primes]
+        self.mask_primes = tuple(mask_primes)
+        buckets: list[list[int]] = [[] for _ in mask_primes]
+        for d in self.proper_divisors:
+            buckets[mask[d]].append(d)
+        self.buckets = tuple(map(tuple, buckets))
+        return getattr(self, name)
 
     def step(self, d: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
@@ -141,13 +168,14 @@ class DivisorClasses:
         copies.
         """
         i = self.index[d]
-        row = self._steps.get(i)
+        steps = _exponent_table(self.signature)[0]
+        row = steps.get(i)
         if row is None:
-            row = [1]
-            for (p, a), s in zip(self._factors, self._strides):
-                layer = _layer(p == 2, a, i // s % (a + 1), s)
+            row = [1]  # len(row) is the stride of the next prime
+            for p, a in self._factors:
+                layer = _layer(p == 2, a, i // len(row) % (a + 1), len(row))
                 row = [m * mask for mask in layer for m in row]
-            row = self._steps[i] = tuple(row)
+            row = steps[i] = tuple(row)
         return row
 
     def reach(self, divisors) -> list[int]:
@@ -159,17 +187,19 @@ class DivisorClasses:
         return row
 
 
+@lru_cache(maxsize=8)  # callers go order by order; tau(n) = 6720 takes about 1.3 MB
+def divisor_classes(f: Factorization) -> DivisorClasses:
+    """The order table of n, built once for each recent order."""
+    return DivisorClasses(f)
+
+
 # Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
-def _exponent_table(two: bool, exponents: tuple[int, ...]) -> tuple[dict, dict, dict]:
-    """The step rows by class index, the class-BFS diameters by
-    class-index bitmask and the witness rows of the orders of one exponent
-    signature: whether 2 divides n and its exponents in the digit order of
-    ``DivisorClasses``.  A witness row is keyed by the class indices of an
-    order's proper divisors in ascending order of value, and holds, for
-    each size t = 1..k, the maximal diameter and its witness set as class
-    indices."""
+def _exponent_table(signature: Signature) -> tuple[dict, dict, dict]:
+    """The signature table: step rows, class-BFS diameters and witness
+    rows.  A witness row holds, for each size t = 1..k, the maximal
+    diameter and its witness set as class indices."""
     return {}, {}, {}
 
 
@@ -234,7 +264,7 @@ def _class_distances(g: IcgInstance) -> Mapping[int, int | None]:
     unreachable class.  Kept for the recent instances, so repeated
     ``distance`` calls on one graph run one BFS; the mapping is read-only
     because every caller shares it."""
-    classes = DivisorClasses(g.factorization)
+    classes = divisor_classes(g.factorization)
     dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
     for d, m in enumerate(levels_from_zero(classes.reach(g.divisor_set.divisors))):
         for i in _bits(m):
@@ -284,7 +314,7 @@ def diameter(g: IcgInstance) -> DiameterResult:
     and the first term whose two gcds are exactly c and e is the smallest
     of its pair, so the minimum over pairs is the smallest vertex of all.
     """
-    classes = DivisorClasses(g.factorization)
+    classes = divisor_classes(g.factorization)
     divisors = g.divisor_set.divisors
     levels = levels_from_zero(classes.reach(divisors))
     if not is_connected(g.divisor_set):

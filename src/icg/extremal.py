@@ -7,10 +7,9 @@ For n = p_1^a_1 ... p_k^a_k define
 Over all connected divisor sets of order n the maximal diameter is r(n),
 or r(n)+1 when n = 2 (mod 4); fixing the divisor-set cardinality t <= k
 refines this into a seven-branch case split on (parity of n, s(n), t).
-The predictions read n only through n mod 4 and its exponent multiset
-(k, r(n) and s(n) are functions of the multiset), so they are computed
-once per such pair, as one row holding the overall prediction and the
-prediction for each t = 1..k.
+The predictions read n only through its exponent signature (see
+``icg.distance``), so they are computed once per signature, as one row
+holding the overall prediction and the prediction for each t = 1..k.
 
 This module implements those predictions, the predicates characterizing
 which divisor sets attain them, the CRT worst-vertex constructions, the
@@ -28,17 +27,9 @@ from typing import NamedTuple
 
 from .canonical import SeparationWitness, eligible_bits, eligible_primes, support_masks
 from .core import DivisorSet, make_divisor_set, make_instance
-from .distance import DivisorClasses
+from .distance import divisor_classes
 from .errors import DomainError
-from .numtheory import (
-    CrtSystem,
-    Factorization,
-    crt_solve,
-    factorize,
-    proper_divisors,
-    r_of,
-    s_of,
-)
+from .numtheory import CrtSystem, Factorization, Signature, crt_solve, factorize, r_of, s_of
 
 
 class CaseLabel(str, Enum):
@@ -108,37 +99,35 @@ class SummandRepresentation(NamedTuple):
 
 
 class PredictionRow(NamedTuple):
-    """The predictions of every order with one n mod 4 and exponent multiset."""
+    """The predictions of every order of one exponent signature."""
 
     overall: MaxDiameterPrediction
     per_t: tuple[MaxDiameterPrediction, ...]  # per_t[t - 1] for t = 1..k
 
 
-def prediction_row(f: Factorization) -> PredictionRow:
+@lru_cache(maxsize=None)  # keys: the 9,775 exponent signatures up to FACTOR_BOUND
+def prediction_row(signature: Signature) -> PredictionRow:
     """The overall prediction and the per-t predictions for t = 1..k of
-    order n, read from the row of n mod 4 and its exponent multiset."""
-    return _prediction_row(f.n % 4, tuple(sorted(f.exponents)))
-
-
-@lru_cache(maxsize=None)  # keys: n mod 4 and the 4,425 exponent multisets up to FACTOR_BOUND
-def _prediction_row(n_mod_4: int, exponents: tuple[int, ...]) -> PredictionRow:
-    """The seven-branch case split on (n mod 4, s(n), t vs k - floor(s/2)),
-    with r(n) = k + #{a > 1} and s(n) = #{a = 1} read off the exponents.
+    every order of the signature: the seven-branch case split on (n mod 4,
+    s(n), t vs k - floor(s/2)), with r(n) = k + #{a > 1} and
+    s(n) = #{a = 1} read off the exponents.  n is even when the exponent
+    of 2 is positive, and n = 2 (mod 4) when it is 1.
 
     Overall: r(n)+1 when n = 2 (mod 4) and s(n) >= 2, else r(n).
     """
-    k = len(exponents)
-    s = exponents.count(1)
+    two, odd = signature
+    k = len(odd) + (two > 0)
+    s = odd.count(1) + (two == 1)
     r = 2 * k - s  # k + #{a > 1}
-    even = n_mod_4 % 2 == 0
-    if n_mod_4 == 2 and s >= 2:
+    even = two > 0
+    if two == 1 and s >= 2:
         overall = MaxDiameterPrediction(r + 1, CaseLabel.OVERALL_R_PLUS_1)
     else:
         overall = MaxDiameterPrediction(r, CaseLabel.OVERALL_R)
     per_t = []
     for t in range(1, k):
         if s >= 2 and k - s // 2 <= t:
-            if n_mod_4 == 2:
+            if two == 1:
                 per_t.append(MaxDiameterPrediction(r + 1, CaseLabel.R_PLUS_1))
             else:
                 per_t.append(MaxDiameterPrediction(r, CaseLabel.R_CASE))
@@ -163,19 +152,19 @@ def predict_overall_max(f: Factorization) -> MaxDiameterPrediction:
     exceeds r(n), and the r(n)+1 value is unattainable.  It also covers
     the degenerate n = 2 (K_2, diameter 1 = r(2)).
     """
-    return prediction_row(f).overall
+    return prediction_row(f.signature).overall
 
 
 def predict_max_for_t(f: Factorization, t: int) -> MaxDiameterPrediction:
     """Maximal diameter over connected divisor sets of cardinality t.
 
     Seven-branch case split on (n mod 4, s(n), t vs k - floor(s/2)), see
-    ``_prediction_row``.  For t > k only the overall bound applies;
+    ``prediction_row``.  For t > k only the overall bound applies;
     returned with applicable=False.
     """
     if t < 1:
         raise DomainError(f"cardinality must be >= 1, got {t}")
-    row = prediction_row(f)
+    row = prediction_row(f.signature)
     return row.per_t[t - 1] if t <= len(row.per_t) else row.overall._replace(applicable=False)
 
 
@@ -472,7 +461,7 @@ def lift_diameter_small(m: int, ds: DivisorSet, base_diam: int, n_prime: int) ->
     # that every divisor class but the top one (vertex 0) holds a sum of
     # two symbols.
     g = make_instance(m, ds.divisors)
-    classes = DivisorClasses(g.factorization)
+    classes = divisor_classes(g.factorization)
     row = classes.reach(g.divisor_set.divisors)
     sums = 0
     for d in g.divisor_set.divisors:
@@ -508,7 +497,7 @@ def diameter_two_cases(f: Factorization, ds: DivisorSet) -> bool:
     dset = set(ds.divisors)
     if 1 not in dset:
         raise DomainError("diameter_two_cases requires 1 in D")
-    if dset == set(proper_divisors(n)):
+    if dset == set(divisor_classes(f).proper_divisors):
         raise DomainError("diameter_two_cases requires D != D_n")
     if f.k == 1:
         prime_power_composite = f.exponents[0] > 1

@@ -45,6 +45,14 @@ _MR_BASES = (
 )
 
 
+class Signature(NamedTuple):
+    """The exponent of 2 in n (0 for odd n) and the exponents of its odd
+    primes, ascending: all that ``icg.distance`` and the predictions read."""
+
+    two: int
+    odd: tuple[int, ...]
+
+
 class Factorization(NamedTuple):
     """n together with its ordered prime-power decomposition."""
 
@@ -63,6 +71,12 @@ class Factorization(NamedTuple):
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple([a for _, a in self.factors])
+
+    @property
+    def signature(self) -> Signature:
+        exponents = [a for _, a in self.factors]
+        two = exponents.pop(0) if self.n % 2 == 0 else 0
+        return Signature(two, tuple(sorted(exponents)))
 
 
 class CrtSystem(NamedTuple):

@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 from .canonical import subset_sizes
 from .core import DivisorSet, is_connected
-from .distance import DivisorClasses, class_diameter
+from .distance import class_diameter, divisor_classes
 from .errors import DomainError
 from .extremal import predict_overall_max
-from .numtheory import Factorization, proper_divisors
+from .numtheory import Factorization
 
 
 class PstDecomposition(NamedTuple):
@@ -82,11 +82,11 @@ def enumerate_pst_sets(
     n = f.n
     if n % 4 != 0:
         return []
-    divisors = proper_divisors(n)
+    divisors = divisor_classes(f).proper_divisors
     d3_pool = [d for d in divisors if (n // d) % 8 == 0]
     d2_pool = [d for d in divisors if (n // d) % 8 == 4 and d != n // 4]
     out = []
-    for size in subset_sizes(n, divisors, 1, max_size):
+    for size in subset_sizes(n, len(divisors), 1, max_size):
         for s2 in range((size - 1) // 3 + 1):
             for d2 in combinations(d2_pool, s2):
                 for d3 in combinations(d3_pool, size - 1 - 3 * s2):
@@ -105,7 +105,7 @@ def pst_never_maximal(f: Factorization) -> bool:
     if f.n % 4 != 0:
         raise DomainError(f"pst_never_maximal requires n in 4N, got {f.n}")
     bound = predict_overall_max(f).value
-    classes = DivisorClasses(f)
+    classes = divisor_classes(f)
     for ds, _dec in enumerate_pst_sets(f, max_size=f.k):
         if is_connected(ds) and class_diameter(classes.reach(ds.divisors)) == bound:
             return False

@@ -22,27 +22,24 @@ reach its maximum, as over the full power set.  An order with more than
 although the search runs a BFS on far fewer of them, and a range that
 holds such an order is refused before any order is searched.
 
-A set's diameter is a function of the exponent signature of n (whether
-2 | n, the exponent of 2 and the sorted odd exponents) and of the class
-indices of its divisors, see ``icg.distance``.  The search carries each
-set's class-index bitmask and reads its diameter from the signature's
-table; only a set that misses runs a BFS, and the table keeps the result
-for every later order of the signature.  The successor row that BFS reads
-is built lazily: a set whose parent's row is known gets its row by one OR
-with the step row of its last divisor, and a level of the search with no
-known row builds its prefix's row once, on its first miss.  With ``jobs``
-above 1 each pool worker fills its own tables.
+The search carries each set's class-index bitmask and reads its diameter
+from the signature table of ``icg.distance``; only a set that misses runs a
+BFS, and the table keeps the result for every later order of the
+signature.  The successor row that BFS reads is built lazily: a set whose
+parent's row is known gets its row by one OR with the step row of its last
+divisor, and a level of the search with no known row builds its prefix's
+row once, on its first miss.  With ``jobs`` above 1 each pool worker fills
+its own tables.
 
 The search reads the divisors only through their class indices, taken in
 ascending order of value: connectivity, rows, diameters, the floor below
 and the guard are all functions of the class digits.  So its result, each
 size's maximum and witness written as class indices, is a function of the
-signature and of that sequence of class indices, the order's divisor
-order.  The signature's table keeps one witness row per divisor order.  An
-order whose row is stored maps the row's indices through its own divisors
-and runs no search: 2..3000 has 2,999 orders but 339 divisor orders.  The
-guard runs before the lookup, so an order it refuses is refused whether
-its row is stored or not.
+signature and of the order's divisor order, and the signature table keeps
+one witness row per divisor order.  An order whose row is stored maps the
+row's indices through its own divisors and runs no search: 2..3000 has
+2,999 orders but 339 divisor orders.  The guard runs before the lookup, so
+an order it refuses is refused whether its row is stored or not.
 
 The per-size maxima are a function of the signature alone, so every row
 of a signature holds the same ones.  A new divisor order of a known
@@ -54,11 +51,10 @@ known maximum.  Only the first set, by size then lexicographically, to
 reach a size's maximum can be its witness, and no skip passes over one,
 so the witnesses do not change.
 
-The rest of an order's work outside the search is read, not recomputed.
-The proper divisors come from the order's ``DivisorClasses``, which lists
-every divisor, with no trial division.  The k + 1 predictions are one row
-per n mod 4 and exponent multiset (``extremal.prediction_row``), and the
-guard's subset count is cached per number of divisors and size range.
+The rest of an order's work outside the search is read, not recomputed:
+the proper divisors and their class indices from the order table, the k + 1
+predictions from the signature's row (``extremal.prediction_row``), and
+the guard's subset count from a cache per number of divisors and sizes.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -74,7 +70,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, class_diameter
+from .distance import DivisorClasses, class_diameter, divisor_classes
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import factorize
@@ -116,19 +112,19 @@ class VerificationRecord(NamedTuple):
 def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
-    classes = DivisorClasses(f)
-    divisors = sorted(classes.divisors)[:-1]  # the proper ones; classes holds n too
-    subset_sizes(n, divisors, 1, f.k)
+    classes = divisor_classes(f)
+    subset_sizes(n, len(classes.proper_divisors), 1, f.k)
     index_of = classes.index.__getitem__
-    order = tuple(map(index_of, divisors))
-    row = classes.witnesses.get(order)
+    order = tuple(map(index_of, classes.proper_divisors))  # the divisor order
+    witnesses = classes.witnesses
+    row = witnesses.get(order)
     if row is None:
-        best = _search(classes, divisors, order, f.k)
-        classes.witnesses[order] = tuple((diam, tuple(map(index_of, w))) for diam, w in best)
+        best = _search(classes, order, f.k)
+        witnesses[order] = tuple((diam, tuple(map(index_of, w))) for diam, w in best)
     else:
         divisor_of = classes.divisors.__getitem__
         best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
-    predictions = prediction_row(f)
+    predictions = prediction_row(classes.signature)
     records = []
     for t, (predicted, (observed, witness)) in enumerate(zip(predictions.per_t, best), 1):
         status = Status.MATCH if predicted.value == observed else Status.MISMATCH
@@ -142,12 +138,12 @@ def verify_order(n: int) -> list[VerificationRecord]:
 
 
 def _search(
-    classes: DivisorClasses, divisors: list[int], order: tuple[int, ...], k: int
+    classes: DivisorClasses, order: tuple[int, ...], k: int
 ) -> list[tuple[int, tuple[int, ...]]]:
     """For each size t = 1..k, the maximal diameter of a connected set of t
     proper divisors and the first such set, by size then lexicographically;
-    divisors lists the proper divisors ascending and order their class
-    indices."""
+    order holds the class indices of the proper divisors."""
+    divisors = classes.proper_divisors
     diameters = classes.diameters
     known = next(iter(classes.witnesses.values()), None)
     # floor[t] is the known maximum of size t, 0 while it is unknown.
@@ -269,9 +265,8 @@ def verify_range(
     orders = range(n_lo, n_hi + 1)
     if len(orders) > 1:  # verify_order checks a lone order before its search
         for n in orders:
-            # subset_sizes reads only how many proper divisors there are: tau(n) - 1.
-            f = factorize(n)
-            subset_sizes(n, range(math.prod(a + 1 for a in f.exponents) - 1), 1, f.k)
+            f = factorize(n)  # n has tau(n) - 1 proper divisors
+            subset_sizes(n, math.prod(a + 1 for a in f.exponents) - 1, 1, f.k)
     # The pool may fork all its workers at once: start no more than orders.
     workers = min(jobs, len(orders))
     if workers > 1:

@@ -29,6 +29,7 @@ from icg.canonical import (
     separation_witness,
 )
 from icg.core import DivisorSet, make_divisor_set
+from icg.distance import divisor_classes
 from icg.errors import DomainError, ResourceLimitError
 from icg.numtheory import factorize, proper_divisors
 
@@ -166,8 +167,17 @@ class TestSeparationWitness:
 class TestEligiblePrimes:
     def test_matches_leave_one_out_gcds(self):
         # Every subset of at most k proper divisors, n <= 400, t = 1 included.
+        # The order table's masks, the primes of each mask and its buckets
+        # are checked against the primes dividing each divisor.
         for n in range(2, 401):
             f = factorize(n)
+            classes = divisor_classes(f)
+            for d in (*proper_divisors(n), n):
+                bits = [i for i, p in enumerate(f.primes) if d % p == 0]
+                assert classes.masks[d] == sum(1 << i for i in bits), (n, d)
+                assert classes.mask_primes[classes.masks[d]] == tuple(f.primes[i] for i in bits)
+            for m, bucket in enumerate(classes.buckets):
+                assert bucket == tuple(d for d in proper_divisors(n) if classes.masks[d] == m)
             for combo in divisor_subsets(n, 1, f.k):
                 assert eligible_primes(f, combo) == gcd_eligible(f.primes, combo), (n, combo)
 

@@ -216,6 +216,7 @@ class TestDistance:
         monkeypatch.setattr(distance_module, "DivisorClasses", CountingClasses)
         monkeypatch.setattr(distance_module, "levels_from_zero", counting_levels)
         distance_module._class_distances.cache_clear()
+        distance_module.divisor_classes.cache_clear()
         try:
             assert [distance(g, 0, v) for v in path] == list(range(14))
             # Every caller gets the same mapping, so none may change it.
@@ -223,6 +224,7 @@ class TestDistance:
                 distance_module._class_distances(g)[1] = 0
         finally:
             distance_module._class_distances.cache_clear()
+            distance_module.divisor_classes.cache_clear()
         assert built == [n]
         assert len(searched) == 1
 
@@ -384,3 +386,91 @@ class TestOracleLimits:
     def test_oracle_refuses_huge_instances(self):
         with pytest.raises(ResourceLimitError):
             apsp_oracle(make_instance(6000, [1]))
+
+
+class TestOrderTable:
+    """Each order's divisors are listed once, by its DivisorClasses, built
+    through the bounded cache ``divisor_classes``."""
+
+    def test_closed_form_layer_builds_one_table(self, monkeypatch):
+        # 1260 = 2^2 3^2 5 7: every separated set with all its witnesses and its
+        # extremal check, then the PST sets, as the closed-form layer runs.
+        from icg.canonical import enumerate_separated, iter_witnesses
+        from icg.extremal import (
+            check_untouched_prime,
+            extremal_check_t_eq_k,
+            extremal_check_t_lt_k,
+        )
+        from icg.pst import enumerate_pst_sets
+
+        built = []
+        init = DivisorClasses.__init__
+
+        def counting_init(self, f):
+            built.append(f.n)
+            init(self, f)
+
+        monkeypatch.setattr(DivisorClasses, "__init__", counting_init)
+        distance_module.divisor_classes.cache_clear()
+        f = factorize(1260)
+        assert f.k == 4
+        checked = 0
+        for t in range(1, f.k + 1):
+            for ds in enumerate_separated(1260, t):
+                w = list(iter_witnesses(f, ds))[0]
+                if t == f.k:
+                    extremal_check_t_eq_k(f, ds, w)
+                elif any(all(d % p for d in ds.divisors) for p in f.primes):
+                    check_untouched_prime(f, ds)
+                else:
+                    extremal_check_t_lt_k(f, ds, w)
+                checked += 1
+        assert checked > 100 and enumerate_pst_sets(f, f.k)
+        assert built == [1260]
+
+    def test_table_reads_the_live_signature_table(self):
+        # A cached order table keeps no signature table alive: once the
+        # signature tables are cleared, it reads the new one.
+        f = factorize(60)
+        classes = distance_module.divisor_classes(f)
+        stale = classes.diameters, classes.witnesses, classes.step(1)
+        distance_module._exponent_table.cache_clear()
+        assert distance_module.divisor_classes(f) is classes
+        steps, diameters, witnesses = distance_module._exponent_table(f.signature)
+        assert classes.diameters is diameters is not stale[0]
+        assert classes.witnesses is witnesses is not stale[1]
+        assert not steps and classes.step(1) == stale[2] and 0 in steps
+
+    def test_proper_divisors(self):
+        for n in range(2, 301):
+            classes = distance_module.divisor_classes(factorize(n))
+            assert classes.proper_divisors == proper_divisors(n), n
+
+    @pytest.mark.parametrize("n", [2, 12, 1260, 2310, 1099511627689])
+    def test_no_divisors_by_trial_division(self, monkeypatch, n):
+        # divisor_subsets, enumerate_pst_sets and diameter_two_cases read
+        # the proper divisors from the order table.
+        # A prime near 2^40 makes proper_divisors trial-divide for 0.16 s.
+        from icg import canonical, extremal, numtheory, pst
+        from icg.core import DivisorSet
+
+        f = factorize(n)
+
+        def run():
+            subsets = list(canonical.divisor_subsets(n, 1, 2))
+            pst_sets = pst.enumerate_pst_sets(f, f.k)
+            try:  # D = {1} is all of D_n for a prime, which is refused
+                two = extremal.diameter_two_cases(f, DivisorSet(n, (1,)))
+            except DomainError as e:
+                two = str(e)
+            return subsets, pst_sets, two
+
+        expected = run()
+
+        def refuse(m):
+            raise AssertionError(f"proper_divisors({m}) called")
+
+        for module in (numtheory, canonical, extremal, pst):
+            monkeypatch.setattr(module, "proper_divisors", refuse, raising=False)
+        distance_module.divisor_classes.cache_clear()
+        assert run() == expected

@@ -126,14 +126,14 @@ def reference_for_t(f, t):
 
 
 class TestPredictionRow:
-    """The predictions are read from one row per n mod 4 and exponent
-    multiset; the per-order split stays here as the reference."""
+    """The predictions are read from one row per exponent signature; the
+    per-order split stays here as the reference."""
 
     def test_rows_match_the_reference_split(self):
         labels = set()
         for n in range(2, 5001):
             f = factorize(n)
-            row = prediction_row(f)
+            row = prediction_row(f.signature)
             assert row.overall == predict_overall_max(f) == reference_overall(f), n
             assert len(row.per_t) == f.k, n
             for t in range(1, f.k + 2):
@@ -146,17 +146,21 @@ class TestPredictionRow:
         assert labels == set(CaseLabel)
 
     def test_t_zero_still_raises(self):
-        prediction_row(factorize(30030))  # t < 1 is refused with the row cached too
+        prediction_row(factorize(30030).signature)  # t < 1 is refused with the row cached too
         for t in (0, -1):
             with pytest.raises(DomainError):
                 predict_max_for_t(factorize(30030), t)
 
     def test_orders_of_one_key_share_a_row(self):
         # 60 = 4 3 5 and 90 = 2 3^2 5 have the exponents {1, 1, 2}; 60 is
-        # 0 mod 4 and 90 is 2 mod 4, so their rows differ.
-        assert prediction_row(factorize(60)) is prediction_row(factorize(84))
-        assert prediction_row(factorize(90)) is prediction_row(factorize(150))
-        assert prediction_row(factorize(60)) != prediction_row(factorize(90))
+        # 0 mod 4 and 90 is 2 mod 4, so their rows differ.  15 = 3 mod 4
+        # and 21 = 1 mod 4 have one signature.
+        def row(n):
+            return prediction_row(factorize(n).signature)
+
+        for a, b in ((60, 84), (90, 150), (15, 21)):
+            assert row(a) is row(b), (a, b)
+        assert row(60) != row(90)
 
 
 class TestFullCardinality:

@@ -15,7 +15,7 @@ from icg.canonical import divisor_subsets
 from icg.core import make_instance
 from icg.distance import DivisorClasses, class_diameter, diameter
 from icg.errors import ResourceLimitError, ValidationError
-from icg.extremal import predict_max_for_t, predict_overall_max
+from icg.extremal import predict_max_for_t, predict_overall_max, prediction_row
 from icg.numtheory import factorize, proper_divisors
 from icg.verify import (
     RangeReport,
@@ -289,9 +289,9 @@ class TestShapeTable:
             """The signature's diameters, checking each one served against a
             fresh BFS on the set in the order being searched."""
 
-            def __init__(self, classes):
+            def __init__(self, classes, table):
                 self.classes = classes
-                self.table = classes.diameters
+                self.table = table
 
             def get(self, mask):
                 diam = self.table.get(mask)
@@ -305,14 +305,21 @@ class TestShapeTable:
                 self.table[mask] = diam
 
         class CheckedClasses(DivisorClasses):
-            def __init__(self, f):
-                super().__init__(f)
-                self.diameters = Checked(self)
-                self.witnesses = {}  # no stored row: every order searches
+            @property
+            def diameters(self):
+                return Checked(self, super().diameters)
 
-        monkeypatch.setattr(icg.verify, "DivisorClasses", CheckedClasses)
-        for n in range(2, 401):
-            verify_order(n)
+            @property
+            def witnesses(self):
+                return {}  # no stored row: every order searches
+
+        monkeypatch.setattr(distance_module, "DivisorClasses", CheckedClasses)
+        distance_module.divisor_classes.cache_clear()
+        try:
+            for n in range(2, 401):
+                verify_order(n)
+        finally:
+            distance_module.divisor_classes.cache_clear()
         # Most orders share their signature with an earlier one.
         assert len(served) > 2000 and len(set(served)) > 300
 
@@ -447,11 +454,14 @@ class TestVerifyRange:
         # mismatches, with the signature tables warm from earlier orders.
         # The range has 99 signatures, and an ascending sweep must build
         # each one's table once: an evicted table would be rebuilt on the
-        # signature's next order, and its diameters measured again.
+        # signature's next order, and its diameters measured again.  The
+        # prediction rows are keyed by the same signatures.
         distance_module._exponent_table.cache_clear()
+        prediction_row.cache_clear()
         digest = hashlib.sha256(verify_range(2, 3000).to_json().encode()).hexdigest()
         assert digest == SWEEP_3000_SHA256
         assert distance_module._exponent_table.cache_info().misses == 99
+        assert prediction_row.cache_info().misses == 99
 
     @pytest.mark.parametrize("n", [2, 30, 270, 2310])
     def test_one_order_lists_no_divisors_by_trial_division(self, monkeypatch, n):
