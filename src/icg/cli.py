@@ -1,5 +1,17 @@
 """Command-line surface with stable, scriptable output.
 
+The grammar is ``icg [global flags] command [arguments]``.  The global
+flags, ``--format`` and ``--jobs``, come before the command; after it they
+are unrecognized arguments.  A flag takes its value as the next argument or
+after ``=`` (``--t 2`` or ``--t=2``), and a unique prefix of a long flag
+names it (``--fail`` for ``--fail-fast``).  A ``--`` makes the rest of its
+level positionals: before the command, the rest up to the command.
+``-h`` or ``--help`` prints the usage line to stdout and exits 0; before
+the command it lists every command, after it every positional and flag of
+the command, with their choices.  One loop reads all of it from one table,
+``COMMANDS``; the tests compare it with the argparse parser it replaced
+(``tests/cli_reference.py``).
+
 Exit codes: 0 success / all matches, 1 verification mismatch,
 2 usage or validation error.  Divisor lists are comma-separated without
 spaces; ranges use lo..hi inclusive.  Flags can be defaulted through
@@ -15,10 +27,11 @@ factors prints no sets and exits 0, since no such set is separated.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .canonical import enumerate_connected, enumerate_separated, make_separated
 from .core import make_divisor_set, make_instance
@@ -43,7 +56,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -51,7 +64,7 @@ def _divisor_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _order_range(text: str) -> tuple[int, int]:
@@ -59,7 +72,7 @@ def _order_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
+        raise ValueError(f"expected lo..hi, got {text!r}") from None
 
 
 def _emit(obj: dict, text: str, fmt: str) -> None:
@@ -156,70 +169,214 @@ def cmd_family(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="icg", description="Integral circulant graph diameters and maximal-diameter theory"
-    )
-    parser.add_argument("--format", choices=FORMATS, default="text", help="output format")
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes for verify"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: The flags that come before the command: flag -> (dest, convert, default).
+#: A convert that is not callable is the collection of allowed values.
+GLOBAL_FLAGS = {
+    "--format": ("format", FORMATS, "text"),
+    "--jobs": ("jobs", _positive_int, 1),
+}
 
-    p = sub.add_parser("diameter", help="exact diameter of ICG_n(D)")
-    p.add_argument("n", type=int)
-    p.add_argument("divisors", type=_divisor_list)
-    p.set_defaults(func=cmd_diameter)
+#: command -> (handler, help, positionals as (dest, convert) pairs, flags as
+#: in GLOBAL_FLAGS).  A flag whose convert is None takes no value and, when
+#: given, stores True.
+COMMANDS = {
+    "diameter": (
+        cmd_diameter, "exact diameter of ICG_n(D)",
+        (("n", int), ("divisors", _divisor_list)), {},
+    ),
+    "predict": (
+        cmd_predict, "closed-form maximal diameter for order n",
+        (("n", int),), {"--t": ("t", int, None)},
+    ),
+    "verify": (
+        cmd_verify, "sweep a range lo..hi of orders against the BFS oracle",
+        (("range", _order_range),), {"--fail-fast": ("fail_fast", None, False)},
+    ),
+    "enumerate": (
+        cmd_enumerate, "enumerate divisor sets as JSON lines",
+        (("n", int),),
+        {"--t": ("t", int, None), "--kind": ("kind", ("separated", "connected"), "connected")},
+    ),
+    "worst-vertex": (
+        cmd_worst_vertex, "CRT worst vertex for an extremal divisor set",
+        (("n", int), ("divisors", _divisor_list)), {"--variant": ("variant", ("I", "II"), "I")},
+    ),
+    "pst": (
+        cmd_pst, "perfect-state-transfer admissibility of (n, D)",
+        (("n", int), ("divisors", _divisor_list)), {},
+    ),
+    "family": (
+        cmd_family, "named extremal families",
+        (("name", ("saxena",)), ("primes", _divisor_list)), {},
+    ),
+}
 
-    p = sub.add_parser("predict", help="closed-form maximal diameter for order n")
-    p.add_argument("n", type=int)
-    p.add_argument("--t", type=int, default=None, help="divisor-set cardinality (omit for overall)")
-    p.set_defaults(func=cmd_predict)
+#: The level before the command, in the shape of a COMMANDS entry.
+TOP = (None, "Integral circulant graph diameters and maximal-diameter theory",
+       (("command", COMMANDS),), GLOBAL_FLAGS)
 
-    p = sub.add_parser("verify", help="sweep a range of orders against the BFS oracle")
-    p.add_argument("range", type=_order_range, help="inclusive range lo..hi")
-    p.add_argument("--fail-fast", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("enumerate", help="enumerate divisor sets as JSON lines")
-    p.add_argument("n", type=int)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--kind", choices=["separated", "connected"], default="connected")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("worst-vertex", help="CRT worst vertex for an extremal divisor set")
-    p.add_argument("n", type=int)
-    p.add_argument("divisors", type=_divisor_list)
-    p.add_argument("--variant", choices=["I", "II"], default="I")
-    p.set_defaults(func=cmd_worst_vertex)
-
-    p = sub.add_parser("pst", help="perfect-state-transfer admissibility of (n, D)")
-    p.add_argument("n", type=int)
-    p.add_argument("divisors", type=_divisor_list)
-    p.set_defaults(func=cmd_pst)
-
-    p = sub.add_parser("family", help="named extremal families")
-    p.add_argument("name", choices=["saxena"])
-    p.add_argument("primes", type=_divisor_list)
-    p.set_defaults(func=cmd_family)
-
-    return parser
-
-
-PARSER = build_parser()
+_HELP = ("-h", "--help")
+#: Tokens that start with "-" but are positionals, as argparse reads them.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def main(argv: list[str] | None = None) -> int:
-    # The = form keeps a value starting with "-" a value; an explicit flag
-    # comes later in the arguments and wins.
-    env_flags = [
+class _UsageError(Exception):
+    """A malformed command line; parse_args prints it and exits 2."""
+
+
+def _flag(token: str, flags: dict) -> tuple[str | None, str | None] | None:
+    """Read ``token`` against ``flags`` and -h/--help as argparse does.
+
+    None means a positional.  Otherwise the pair is the flag named (None
+    for an unknown one, which is kept for the "unrecognized arguments"
+    error) and the value given with it by ``=`` or, after ``-h``, attached.
+    A unique prefix of a long flag names it.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags or token in _HELP:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and (name in flags or name in _HELP):
+        return name, value
+    if token[1] == "-":
+        found = [flag for flag in (*flags, "--help") if flag.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _convert(name: str, convert, text: str):
+    if not callable(convert):
+        if text in convert:
+            return text
+        choices = ", ".join(map(repr, convert))
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return convert(text)
+    except ValueError as exc:
+        reason = f"invalid int value: {text!r}" if convert is int else str(exc)
+        raise _UsageError(f"argument {name}: {reason}") from None
+
+
+def _metavar(name: str, convert) -> str:
+    return name if callable(convert) else "{" + ",".join(convert) + "}"
+
+
+def _usage(prog: str, level: tuple) -> str:
+    _, _, positionals, flags = level
+    words = [prog, "[-h]"]
+    for flag, (dest, convert, _) in flags.items():
+        words.append(f"[{flag}]" if convert is None else f"[{flag} {_metavar(dest.upper(), convert)}]")
+    words += (_metavar(dest, convert) for dest, convert in positionals)
+    return "usage: " + " ".join(words) + (" ..." if level is TOP else "")
+
+
+def _help(prog: str, level: tuple) -> str:
+    lines = [_usage(prog, level), "", level[1]]
+    if level is TOP:
+        lines += ["", "commands:"] + [f"  {name:14}{entry[1]}" for name, entry in COMMANDS.items()]
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]):
+    """Parse ``icg``'s arguments into a namespace whose ``func`` is the
+    command's handler.
+
+    Each ICG_ default that is set comes first, as ``--format=VALUE`` or
+    ``--jobs=VALUE``.  A usage error prints the usage line and
+    ``error: ...`` to stderr and raises SystemExit(2); ``-h`` prints help
+    to stdout and raises SystemExit(0).
+    """
+    tokens = [
         f"--{flag}={os.environ[var]}"
         for flag, var in (("format", "ICG_FORMAT"), ("jobs", "ICG_JOBS"))
         if var in os.environ
     ]
-    args = PARSER.parse_args(env_flags + (sys.argv[1:] if argv is None else argv))
-    if args.command == "enumerate" and args.kind == "separated" and args.t is None:
-        PARSER.error("enumerate --kind separated requires --t")
+    tokens += argv
+    prog, level = "icg", TOP
+    _, _, positionals, flags = level
+    values = {dest: default for dest, _, default in flags.values()}
+    values["command"] = None
+    extras = []
+    done = 0  # positionals of this level read so far
+    only_positionals = False  # after a "--" in this level
+    i = 0
+    try:
+        while i < len(tokens):
+            token = tokens[i]
+            i += 1
+            if only_positionals:
+                match = None
+            elif token == "--":
+                only_positionals = True
+                continue
+            else:
+                match = _flag(token, flags)
+            if match is None:
+                if done == len(positionals):
+                    extras.append(token)
+                    continue
+                dest, convert = positionals[done]
+                done += 1
+                values[dest] = _convert(dest, convert, token)
+                if convert is COMMANDS:
+                    prog, level = f"icg {token}", COMMANDS[token]
+                    values["func"], _, positionals, flags = level
+                    values.update((dest, default) for dest, _, default in flags.values())
+                    done = 0
+                    only_positionals = False  # a "--" before the command ends the global flags
+                continue
+            flag, value = match
+            if flag is None:
+                extras.append(token)
+            elif flag in _HELP:
+                # -hh is -h twice; -hx is -h and an unknown -x.
+                if value is not None and (flag == "--help" or not value or value.strip("h")):
+                    raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                # Every token is read against the global flags before any
+                # is acted on, as argparse does, so an ambiguous one (such
+                # as "--=x", which matches every long flag) wins over -h.
+                for token in tokens:
+                    if token == "--":
+                        break
+                    _flag(token, GLOBAL_FLAGS)
+                print(_help(prog, level))
+                raise SystemExit(0)
+            else:
+                dest, convert, _ = flags[flag]
+                if convert is None:
+                    if value is not None:
+                        raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+                    values[dest] = True
+                    continue
+                if value is None:
+                    if i == len(tokens) or tokens[i] == "--" or _flag(tokens[i], flags) is not None:
+                        raise _UsageError(f"argument {flag}: expected one argument")
+                    value = tokens[i]
+                    i += 1
+                values[dest] = _convert(flag, convert, value)
+        if done < len(positionals):
+            missing = ", ".join(dest for dest, _ in positionals[done:])
+            raise _UsageError(f"the following arguments are required: {missing}")
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        if values["command"] == "enumerate" and values["kind"] == "separated" and values["t"] is None:
+            raise _UsageError("enumerate --kind separated requires --t")
+    except _UsageError as exc:
+        print(_usage(prog, level), f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(2) from None
+    return SimpleNamespace(**values)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except IcgError as exc:

@@ -2,17 +2,22 @@
 of what importing it loads."""
 
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icg.cli import main
+import cli_reference
+from icg.cli import COMMANDS, main, parse_args
 from icg.verify import verify_range
 
 
@@ -169,7 +174,7 @@ class TestColdImport:
     pooled ``verify_range``."""
 
     #: Modules that no command uses at import time.
-    UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "csv")
+    UNUSED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "csv", "argparse")
 
     PROBE = """
 import json, sys
@@ -451,3 +456,227 @@ class TestReadmeExamples:
                 assert out == comment.strip() + "\n", line
                 checked.add(" ".join(argv[1:]))
         assert checked == self.DOCUMENTED_OUTPUT
+
+
+def parse_outcome(parse, argv, env):
+    """(outcome, stdout, stderr) of ``parse(argv)`` with the ICG_ variables
+    of ``env`` set (a None value unset).  The outcome is ("accepted", the
+    parsed values), ("rejected", 2) or ("help", 0)."""
+    saved = {var: os.environ.get(var) for var in env}
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        for var, value in env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+        with redirect_stdout(out), redirect_stderr(err):
+            outcome = ("accepted", vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("help" if exc.code == 0 else "rejected", exc.code)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    return outcome, out.getvalue(), err.getvalue()
+
+
+INTS = ["30", "540", "12", "1", "0", "-5", "x", "", "1.5", "5x", " 7", "- 5", "\u0663", "1" * 5000]
+DIVISOR_LISTS = ["3,4", "45,20,108", "1,2", "3,,4", "3,x", "", ",", "3", "-3", "3, 4", "-3, 4"]
+RANGES = ["2..20", "12..12", "9..3", "2..", "..5", "2...5", "2..3..4", "x..y", "2-5", ""]
+FLAG_VALUES = {
+    "--format": ["text", "json", "csv", "xml", "", "JSON", "-h"],
+    "--jobs": ["1", "2", "0", "-1", "abc", "", "1" * 5000],
+    "--t": INTS,
+    "--kind": ["separated", "connected", "both", ""],
+    "--variant": ["I", "II", "III", "i"],
+    "--fail-fast": None,
+}
+#: command -> (a pool of values for each positional, its flags)
+GRAMMAR = {
+    "diameter": ([INTS, DIVISOR_LISTS], []),
+    "predict": ([INTS], ["--t"]),
+    "verify": ([RANGES], ["--fail-fast"]),
+    "enumerate": ([INTS], ["--t", "--kind"]),
+    "worst-vertex": ([INTS, DIVISOR_LISTS], ["--variant"]),
+    "pst": ([INTS, DIVISOR_LISTS], []),
+    "family": ([["saxena", "foo", ""], DIVISOR_LISTS], []),
+}
+UNKNOWN_FLAGS = ["--bogus", "--bogus=1", "-x", "--max-subsets=5", "--oracle-bound=10"]
+
+
+@st.composite
+def flag_tokens(draw, flag):
+    """``flag`` or a unique prefix of it, given a value apart, with ``=``,
+    or none at all; a flag that takes no value is given one now and then."""
+    spelled = draw(st.sampled_from([flag] + [flag[:k] for k in range(3, len(flag))]))
+    values = FLAG_VALUES[flag]
+    if values is None:
+        return draw(st.sampled_from([[spelled]] * 4 + [[spelled + "=x"]]))
+    value = draw(st.sampled_from(values))
+    return draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"], [spelled]]))
+
+
+@st.composite
+def command_lines(draw):
+    """ICG_ values and an argv: global flags, then perhaps a command with
+    its positionals (at times one short or one over) and flags, unknown
+    flags, help flags and global flags mixed in."""
+    env = {
+        "ICG_FORMAT": draw(st.sampled_from([None] * 8 + ["json", "text", "xml", ""])),
+        "ICG_JOBS": draw(st.sampled_from([None] * 8 + ["1", "2", "abc", "-1"])),
+    }
+    extra_flags = st.one_of(
+        st.sampled_from(["--format", "--jobs"]).flatmap(flag_tokens),
+        st.sampled_from(UNKNOWN_FLAGS).map(lambda flag: [flag]),
+        st.sampled_from(["-h", "--help", "--he"]).map(lambda flag: [flag]),
+    )
+    before = draw(st.lists(st.sampled_from(["--format", "--jobs"]).flatmap(flag_tokens), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        before.append(draw(extra_flags))
+    name = draw(st.sampled_from([*GRAMMAR] * 3 + ["foo", "", "pred", None]))
+    units = []
+    if name is not None:
+        pools, flags = GRAMMAR.get(name, ([INTS], []))
+        units = [[draw(st.sampled_from(pool))] for pool in pools]
+        size = draw(st.sampled_from(["exact"] * 6 + ["short", "over"]))
+        if size == "short":
+            units.pop(draw(st.integers(0, len(units) - 1)))
+        elif size == "over":
+            units.append([draw(st.sampled_from(INTS))])
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=3)) if flags else []:
+            units.insert(draw(st.integers(0, len(units))), draw(flag_tokens(flag)))
+        if draw(st.integers(0, 4)) == 0:
+            units.insert(draw(st.integers(0, len(units))), draw(extra_flags))
+        units.insert(0, [name])
+    return env, [token for unit in before + units for token in unit]
+
+
+class TestParserMatchesReference:
+    """``parse_args`` against the argparse parser it replaced
+    (``tests/cli_reference.py``), on generated command lines."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_same_outcome(self, line):
+        env, argv = line
+        expected, _, ref_err = parse_outcome(cli_reference.parse_args, argv, env)
+        got, out, err = parse_outcome(parse_args, argv, env)
+        assert got == expected
+        if got[0] == "rejected":
+            assert got[1] == 2
+            assert out == "" and "error:" in err and "error:" in ref_err
+        elif got[0] == "help":
+            assert out.startswith("usage: icg")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "json", "predict", "540", "--t", "2"],
+            ["--form=csv", "--jo", "2", "verify", "2..20", "--fail"],
+            ["enumerate", "--ki", "separated", "60", "--t=2"],
+            ["worst-vertex", "6750", "75,250,18", "--var=II"],
+            ["diameter", "-5", "-3"],
+            ["pst", "12", "-3, 4"],
+            ["family", "saxena", "3,5"],
+        ],
+    )
+    def test_accepted_lines(self, argv):
+        # Accepted lines are rarer among the generated ones; these are
+        # always checked.
+        expected, _, _ = parse_outcome(cli_reference.parse_args, argv, {})
+        assert expected[0] == "accepted"
+        assert parse_outcome(parse_args, argv, {})[0] == expected
+
+
+class TestParserEdges:
+    """Command lines outside the generated grammar, since argparse releases
+    read some of them differently; these pin what ``parse_args`` does."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # "-hh" is "-h -h"; "-hx" is "-h" with the stray "x".
+            (["-hh"], 0),
+            (["predict", "-h=h"], 0),
+            (["-hx"], 2),
+            (["predict", "30", "-h="], 2),
+            (["predict", "30", "--help=x"], 2),
+            (["verify", "2..3", "--fail-fast=x"], 2),
+            # A bare "--" flag part matches every flag: ambiguous, even
+            # after a -h.
+            (["-h", "--=x"], 2),
+            (["predict", "-h", "--=x"], 2),
+            (["--=x", "predict", "30"], 2),
+            # Only "-" followed by digits, with at most one ".", reads as a
+            # number; any other token that starts with "-" is a flag.
+            (["predict", "-1_000"], 2),
+            (["diameter", "12", "-3,4"], 2),
+            (["verify", "-2..3"], 2),
+            (["predict", "-5x", "-h"], 0),
+        ],
+    )
+    def test_exit_code(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert (out.startswith("usage: icg"), "error:" in err) == (code == 0, code == 2)
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            # "--" ends the flags of its level: before the command, the
+            # global flags.
+            (["--", "predict", "30"], {"command": "predict", "n": 30}),
+            (["--format=json", "--", "predict", "-5", "--t", "2"], {"format": "json", "n": -5, "t": 2}),
+            (["predict", "--", "30"], {"n": 30, "t": None}),
+            (["diameter", "12", "--", "3,4"], {"n": 12, "divisors": [3, 4]}),
+            (["predict", "30", "--"], {"n": 30}),
+        ],
+    )
+    def test_double_dash(self, argv, values):
+        parsed = vars(parse_args(argv))
+        assert {key: parsed[key] for key in values} == values
+
+    @pytest.mark.parametrize("argv", [["predict", "--", "30", "--t", "2"], ["predict", "--", "--", "30"]])
+    def test_double_dash_makes_flags_positionals(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestHelp:
+    def test_top_level_lists_every_command(self, capsys):
+        for flag in ("-h", "--help", "--he"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            usage = out.splitlines()[0]
+            assert usage.startswith("usage: icg [-h] [--format {text,json,csv}] [--jobs JOBS] ")
+            assert "{" + ",".join(COMMANDS) + "}" in usage
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "command, usage",
+        [
+            ("diameter", "usage: icg diameter [-h] n divisors"),
+            ("predict", "usage: icg predict [-h] [--t T] n"),
+            ("verify", "usage: icg verify [-h] [--fail-fast] range"),
+            ("enumerate", "usage: icg enumerate [-h] [--t T] [--kind {separated,connected}] n"),
+            ("worst-vertex", "usage: icg worst-vertex [-h] [--variant {I,II}] n divisors"),
+            ("pst", "usage: icg pst [-h] n divisors"),
+            ("family", "usage: icg family [-h] {saxena} primes"),
+        ],
+    )
+    def test_command_usage(self, capsys, command, usage):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == usage
+        assert err == ""
