@@ -294,11 +294,11 @@ def parse_args(argv: list[str]):
     ``error: ...`` to stderr and raises SystemExit(2); ``-h`` prints help
     to stdout and raises SystemExit(0).
     """
-    tokens = [
-        f"--{flag}={os.environ[var]}"
-        for flag, var in (("format", "ICG_FORMAT"), ("jobs", "ICG_JOBS"))
-        if var in os.environ
-    ]
+    tokens = []
+    for flag, var in (("format", "ICG_FORMAT"), ("jobs", "ICG_JOBS")):
+        value = os.environ.get(var)
+        if value is not None:
+            tokens.append(f"--{flag}={value}")
     tokens += argv
     prog, level = "icg", TOP
     _, _, positionals, flags = level

@@ -24,21 +24,26 @@ only through p == 2 and its exponent.  So a step row depends on n only
 through its exponent signature (``numtheory.Signature``): the exponent of
 2, 0 for odd n, and the sorted odd exponents.  60, 84, 132 and 140 have
 the same rows, and so do 90 = 2 3^2 5 and 150 = 2 3 5^2.  The predictions
-of ``extremal`` read n only through its signature too.
+of ``extremal`` read n only through its signature too, and its verdicts on
+a divisor set read each member and witness prime only through its class
+digits.
 
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
 orders: the one place that lists an order's divisors, by class index and
 ascending, and, on first read, the prime-support data of ``canonical``.
 The signature table, ``_exponent_table``, kept for the 128 most recent
-signatures, holds the step rows by class index, built from cached
-per-prime layers on first use, the class-BFS diameters that ``verify``
-has measured, keyed by the bitmask of their sets' class indices, and
-``verify``'s witness rows, keyed by an order's divisor order: the class
-indices of its proper divisors, ascending by value.  Every entry is a
-function of the signature and its key alone, so a table is exact for every
-order of its signature.  An order table looks its signature table up on
-every read, so it never reads an evicted one.
+signatures, holds four maps: the step rows by class index, built from
+cached per-prime layers on first use; the class-BFS diameters that
+``verify`` has measured, keyed by the bitmask of their sets' class
+indices; ``verify``'s witness rows, keyed by an order's divisor order, the
+class indices of its proper divisors, ascending by value; and the
+closed-form verdicts of ``extremal``, keyed by the bitmask of the set's
+class indices (negated for the untouched-prime flags) or, at t = k, by
+the class indices of the members and of the witness's (divisor, prime)
+pairs.  Every entry is a function of the signature and its key alone, so
+a table is exact for every order of its signature.  An order table looks
+its signature table up on every read, so it never reads an evicted one.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -108,7 +113,8 @@ class DivisorClasses:
     A successor row maps each class index to the mask of classes one step
     away; the row of a divisor set is the elementwise OR of its members'
     rows, ``reach``.  ``diameters`` and ``witnesses`` are the maps of n's
-    signature table that ``verify`` reads and fills.
+    signature table that ``verify`` reads and fills, ``verdicts`` the one
+    that ``extremal`` reads and fills.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -122,7 +128,10 @@ class DivisorClasses:
         self.index = {d: i for i, d in enumerate(divisors)}
         #: The proper divisors, ascending.
         self.proper_divisors = tuple(sorted(divisors)[:-1])
-        self.signature = f.signature
+        # The factors are already in signature order: 2 first, then the
+        # odd exponents ascending.
+        exponents = [a for _, a in self._factors]
+        self.signature = Signature(exponents.pop(0) if f.n % 2 == 0 else 0, tuple(exponents))
 
     @property
     def diameters(self) -> dict[int, int]:
@@ -131,6 +140,10 @@ class DivisorClasses:
     @property
     def witnesses(self) -> dict[tuple[int, ...], tuple]:
         return _exponent_table(self.signature)[2]
+
+    @property
+    def verdicts(self) -> dict:
+        return _exponent_table(self.signature)[3]
 
     def __getattr__(self, name: str):
         """Builds the prime-support data of ``canonical`` on the first read
@@ -196,11 +209,11 @@ def divisor_classes(f: Factorization) -> DivisorClasses:
 # Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
-def _exponent_table(signature: Signature) -> tuple[dict, dict, dict]:
-    """The signature table: step rows, class-BFS diameters and witness
-    rows.  A witness row holds, for each size t = 1..k, the maximal
-    diameter and its witness set as class indices."""
-    return {}, {}, {}
+def _exponent_table(signature: Signature) -> tuple[dict, dict, dict, dict]:
+    """The signature table: step rows, class-BFS diameters, witness rows
+    and closed-form verdicts.  A witness row holds, for each size t = 1..k,
+    the maximal diameter and its witness set as class indices."""
+    return {}, {}, {}, {}
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND

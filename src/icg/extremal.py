@@ -15,6 +15,21 @@ This module implements those predictions, the predicates characterizing
 which divisor sets attain them, the CRT worst-vertex constructions, the
 two/three-summand representation lemma, the diameter behaviour under
 coprime order extension, and the tight 2k+1 family.
+
+The predicates read a member d of a set, or a prime p of a witness, only
+through its class digits (whether p, p^2 or p^a divides d) and a prime of
+n only through p == 2 and its exponent.  So a verdict is a function of the
+signature and of the class indices of the members and witness pairs, and
+it is kept in the verdict map of the signature table of ``icg.distance``:
+``extremal_check_t_lt_k`` keys it by the bitmask of the set's class
+indices, ``check_untouched_prime`` by that bitmask negated, and
+``extremal_check_t_eq_k`` by the class indices of the members, in the
+order of their values, followed by those of the witness's (divisor,
+prime) pairs.  The predicates fill the map on a miss and every order of
+the signature reads it.  Each check validates its input and
+raises its DomainError before the lookup, and ``check_untouched_prime``
+keeps only its three attainment flags in the map: the split n = m * n' is
+computed for every call.
 """
 
 from __future__ import annotations
@@ -22,12 +37,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import or_
 from typing import NamedTuple
 
 from .canonical import SeparationWitness, eligible_bits, eligible_primes, support_masks
 from .core import DivisorSet, make_divisor_set, make_instance
-from .distance import divisor_classes
+from .distance import DivisorClasses, divisor_classes
 from .errors import DomainError
 from .numtheory import CrtSystem, Factorization, Signature, crt_solve, factorize, r_of, s_of
 
@@ -213,18 +229,45 @@ def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) 
     )
 
 
+def _class_indices(classes: DivisorClasses, numbers) -> tuple[int, ...]:
+    """The class index of each number; DomainError for one not dividing n."""
+    try:
+        return tuple(map(classes.index.__getitem__, numbers))
+    except KeyError as exc:
+        raise DomainError(f"{exc.args[0]} does not divide n={classes.divisors[-1]}") from None
+
+
+def _set_key(classes: DivisorClasses, divisors: tuple[int, ...]) -> int:
+    """The set's key in the verdict map: the bitmask of its class indices."""
+    return sum(map((1).__lshift__, _class_indices(classes, divisors)))
+
+
 def extremal_check_t_eq_k(
     f: Factorization, ds: DivisorSet, w: SeparationWitness
 ) -> ExtremalVerdict:
     """Does a full-cardinality separated set attain diameter r(n)?
 
     With |D| = k the k eligible-prime lists are disjoint and nonempty, so
-    each holds exactly one prime: ``w`` is the set's only witness.
+    each holds exactly one prime: ``w`` is the set's only witness.  The
+    verdict is read from the signature table, keyed by the set and by
+    ``w``, so any ``w`` gets its own verdict; the divisors and primes of
+    ``w`` must divide n.
     """
     if len(ds.divisors) != f.k:
         raise DomainError(
             f"extremal_check_t_eq_k requires |D| = k = {f.k}, got {len(ds.divisors)}"
         )
+    classes = divisor_classes(f)
+    key = _class_indices(classes, chain(ds.divisors, *w.assignment))
+    verdicts = classes.verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _t_eq_k_verdict(f, ds, w)
+    return verdict
+
+
+def _t_eq_k_verdict(f: Factorization, ds: DivisorSet, w: SeparationWitness) -> ExtremalVerdict:
+    """Conditions i and ii of the r(n) theorem, in that order."""
     if _condition_i_holds(f.n, ds, w):
         return ExtremalVerdict(True, "thm:r(n) i")
     if _condition_ii_holds(f, ds, w):
@@ -251,22 +294,36 @@ def extremal_check_t_lt_k(
       square-dividing every other divisor.
     - Square-pair cases (s(n) < 2): each divisor has an odd eligible p
       square-dividing every other divisor.
+
+    The verdict is read from the signature table, keyed by the set.
     """
     if len(ds.divisors) >= f.k:
         raise DomainError(f"extremal_check_t_lt_k requires |D| < k = {f.k}")
+    classes = divisor_classes(f)
+    key = _set_key(classes, ds.divisors)
+    touched = reduce(or_, map(classes.masks.__getitem__, ds.divisors))
+    untouched = touched != (1 << f.k) - 1
+    # The injection cases need every prime of n to touch some divisor.
+    if untouched and s_of(f) >= 2:
+        primes = [p for p, _ in _untouched(f, touched)]
+        raise DomainError(f"primes {primes} divide no divisor; use check_untouched_prime")
+    verdicts = classes.verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _t_lt_k_verdict(f, ds, untouched)
+    return verdict
+
+
+def _t_lt_k_verdict(f: Factorization, ds: DivisorSet, untouched: bool) -> ExtremalVerdict:
+    """The t < k case of ds and whether it holds; untouched tells whether
+    some prime of n divides no member, which s(n) >= 2 excludes."""
     n = f.n
-    untouched = _untouched(f, reduce(or_, support_masks(f, ds.divisors)))
     eligible = list(zip(ds.divisors, eligible_primes(f, ds.divisors)))
 
     def each_has_odd_prime(test) -> bool:
         return all(any(p != 2 and test(d, p) for p in ps) for d, ps in eligible)
 
     if s_of(f) >= 2:
-        # The injection cases need every prime of n to touch some divisor.
-        if untouched:
-            raise DomainError(
-                f"primes {[p for p, _ in untouched]} divide no divisor; use check_untouched_prime"
-            )
         case = "thm:t<k ii" if n % 4 == 2 else "thm:t<k i"
         holds = (
             sum(len(ps) for _, ps in eligible) == f.k
@@ -298,14 +355,34 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     necessary.  It attains 2|D|+1 exactly when n' is even, |D| = k(m) and
     the set's one witness over m has every witness prime square-dividing
     all non-dedicated divisors.
+
+    The three attainment flags are read from the signature table, keyed by
+    the set; m and n' are computed for every call.
     """
-    masks = support_masks(f, ds.divisors)
-    touched = reduce(or_, masks)
+    classes = divisor_classes(f)
+    key = _set_key(classes, ds.divisors)
+    touched = reduce(or_, map(classes.masks.__getitem__, ds.divisors))
     untouched = _untouched(f, touched)
     if not untouched:
         raise DomainError("every prime of n divides some divisor; nothing untouched")
     n_prime = math.prod(p**a for p, a in untouched)
     m = f.n // n_prime
+    verdicts = classes.verdicts
+    flags = verdicts.get(-key)
+    if flags is None:
+        flags = verdicts[-key] = _untouched_flags(f, ds, touched, m, n_prime)
+    attains_r, two_t_plus_one, two_t = flags
+    return UntouchedPrimeVerdict(
+        attains_r, "thm:main" if attains_r else None, two_t_plus_one, m, n_prime, two_t
+    )
+
+
+def _untouched_flags(
+    f: Factorization, ds: DivisorSet, touched: int, m: int, n_prime: int
+) -> tuple[bool, bool, bool]:
+    """Whether ds, touching the primes of the mask touched, attains r(n),
+    2|D|+1 and 2|D|, for n = m * n' with n' the untouched part."""
+    masks = support_masks(f, ds.divisors)
     square_pair = attains_r = False
     if m == 1:
         # D = {1}: the square-pair condition over the (empty) touched part
@@ -328,14 +405,7 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
             square_pair = all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
             attains_r = n_prime == 2 and _condition_i_holds(m, ds, w)
     even = n_prime % 2 == 0
-    return UntouchedPrimeVerdict(
-        attains_r,
-        "thm:main" if attains_r else None,
-        square_pair and even,
-        m,
-        n_prime,
-        square_pair and not even,
-    )
+    return attains_r, square_pair and even, square_pair and not even
 
 
 def small_family_lookup(f: Factorization) -> list[tuple[DivisorSet, int]]:

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from enum import Enum
 from operator import or_
 from typing import NamedTuple
@@ -256,9 +255,10 @@ def verify_range(
     """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs.
 
     Raises ResourceLimitError, before searching any order or starting a
-    pool, when ``subset_sizes`` refuses some order of the range.  With more
-    than one worker the orders run in a process pool, which is imported
-    here and only then, so importing icg loads no pool machinery.
+    pool, when ``subset_sizes`` refuses some order of the range.  With one
+    worker, or one order, the orders run in a plain loop in this process.
+    With more than one worker they run in a process pool, which is
+    imported here and only then, so importing icg loads no pool machinery.
     """
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
@@ -267,21 +267,27 @@ def verify_range(
         for n in orders:
             f = factorize(n)  # n has tau(n) - 1 proper divisors
             subset_sizes(n, math.prod(a + 1 for a in f.exponents) - 1, 1, f.k)
+    records: list[VerificationRecord] = []
     # The pool may fork all its workers at once: start no more than orders.
     workers = min(jobs, len(orders))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        for n in orders:
+            chunk = verify_order(n)
+            records += chunk
+            if fail_fast and _mismatched(chunk):
+                break
+        return RangeReport(n_lo, n_hi, tuple(records))
+    from concurrent.futures import ProcessPoolExecutor
 
-        context = ProcessPoolExecutor(max_workers=workers)
-    else:
-        context = nullcontext()
-    records: list[VerificationRecord] = []
-    with context as pool:
-        for chunk in (map if pool is None else pool.map)(verify_order, orders):
-            records.extend(chunk)
-            if fail_fast and any(r.status is Status.MISMATCH for r in chunk):
-                if pool is not None:
-                    # map has submitted every order; drop those not yet started.
-                    pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for chunk in pool.map(verify_order, orders):
+            records += chunk
+            if fail_fast and _mismatched(chunk):
+                # map has submitted every order; drop those not yet started.
+                pool.shutdown(cancel_futures=True)
                 break
     return RangeReport(n_lo, n_hi, tuple(records))
+
+
+def _mismatched(records: list[VerificationRecord]) -> bool:
+    return any(r.status is Status.MISMATCH for r in records)

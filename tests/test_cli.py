@@ -335,6 +335,16 @@ class TestEnvDefaults:
         assert out == ""
         assert "error:" in err and "--format" in err and "xml" in err
 
+    def test_empty_env_value_is_read(self, capsys, monkeypatch):
+        # A variable that is set counts even when it is empty: it is read
+        # as --format= and refused like the flag.
+        monkeypatch.setenv("ICG_FORMAT", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "30"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "--format" in err
+
     def test_jobs_env_not_an_integer_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ICG_JOBS", "abc")
         with pytest.raises(SystemExit) as exc:

@@ -433,13 +433,22 @@ class TestOrderTable:
         # signature tables are cleared, it reads the new one.
         f = factorize(60)
         classes = distance_module.divisor_classes(f)
-        stale = classes.diameters, classes.witnesses, classes.step(1)
+        stale = classes.diameters, classes.witnesses, classes.step(1), classes.verdicts
         distance_module._exponent_table.cache_clear()
         assert distance_module.divisor_classes(f) is classes
-        steps, diameters, witnesses = distance_module._exponent_table(f.signature)
+        steps, diameters, witnesses, verdicts = distance_module._exponent_table(f.signature)
         assert classes.diameters is diameters is not stale[0]
         assert classes.witnesses is witnesses is not stale[1]
+        assert classes.verdicts is verdicts is not stale[3]
         assert not steps and classes.step(1) == stale[2] and 0 in steps
+
+    def test_signature_from_the_ordered_factors(self):
+        # The order table reads its signature off its own ordered factors;
+        # it must be the one Factorization.signature sorts out, for odd and
+        # even orders, with repeated exponents and a high power of 2.
+        for n in [*range(2, 3001), 2**40, 3**25, 2 * 3**2 * 5**2 * 7, 1099511627689]:
+            f = factorize(n)
+            assert distance_module.divisor_classes(f).signature == f.signature, n
 
     def test_proper_divisors(self):
         for n in range(2, 301):

@@ -8,6 +8,8 @@ pinned down explicitly.
 """
 
 import hashlib
+import importlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,6 +18,7 @@ from itertools import combinations
 import pytest
 
 from icg.canonical import (
+    SeparationWitness,
     divisor_subsets,
     enumerate_separated,
     iter_witnesses,
@@ -44,6 +47,9 @@ from icg.extremal import (
     worst_vertex,
 )
 from icg.numtheory import factorize, proper_divisors, r_of, s_of
+
+distance_module = importlib.import_module("icg.distance")
+extremal_module = importlib.import_module("icg.extremal")
 
 
 class TestPredictOverallMax:
@@ -535,6 +541,173 @@ class TestVerdictCounts:
         assert len(lines) == 15471
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "9740d8571b0d1f58437b8bfef1c3b31e8f5da88ac4a00f5d4a63fa82ea928ac9"
+
+
+#: The orders of the closed-form layer: 2..1199 with at most 20 proper divisors.
+CLOSED_FORM_ORDERS = tuple(n for n in range(2, 1200) if len(proper_divisors(n)) <= 20)
+
+
+def _route(f, ds, w):
+    """The verdict of a separated set, routed as the closed-form layer
+    routes it."""
+    if len(ds.divisors) == f.k:
+        return extremal_check_t_eq_k(f, ds, w)
+    if any(all(d % p for d in ds.divisors) for p in f.primes):
+        return check_untouched_prime(f, ds)
+    return extremal_check_t_lt_k(f, ds, w)
+
+
+def _closed_form_verdicts(orders) -> dict:
+    """(n, divisors) -> verdict for every separated set of the orders."""
+    out = {}
+    for n in orders:
+        f = factorize(n)
+        for t in range(1, f.k + 1):
+            for ds in enumerate_separated(n, t):
+                out[n, ds.divisors] = _route(f, ds, separation_witness(f, ds))
+    return out
+
+
+class TestVerdictTable:
+    """The verdicts are kept in the verdict map of the signature table."""
+
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        distance_module._exponent_table.cache_clear()
+        yield
+        distance_module._exponent_table.cache_clear()
+
+    @pytest.fixture
+    def filled(self, monkeypatch):
+        """Counts the calls of the predicates that fill the verdict map."""
+        calls = Counter()
+        for name in ("_t_eq_k_verdict", "_t_lt_k_verdict", "_untouched_flags"):
+
+            def counting(*args, _name=name, _fill=getattr(extremal_module, name)):
+                calls[_name] += 1
+                return _fill(*args)
+
+            monkeypatch.setattr(extremal_module, name, counting)
+        return calls
+
+    def test_exact_whichever_order_fills_the_table(self):
+        # Ascending, each signature's entries come from its smallest orders;
+        # descending, from its largest.  Both must give every set the
+        # verdict its own predicates give with a cleared table.
+        up = _closed_form_verdicts(CLOSED_FORM_ORDERS)
+        distance_module._exponent_table.cache_clear()
+        down = _closed_form_verdicts(reversed(CLOSED_FORM_ORDERS))
+        assert len(up) == 15471 and up == down
+        for (n, divisors), verdict in up.items():
+            f = factorize(n)
+            ds = DivisorSet(n, divisors)
+            distance_module._exponent_table.cache_clear()
+            assert _route(f, ds, separation_witness(f, ds)) == verdict, (n, divisors)
+
+    def test_most_checks_read_the_table(self, filled):
+        # The 15,471 separated sets of the 1,166 orders have 1,266 keys, one
+        # fill each; a second pass over the same orders fills nothing.
+        expected = {"_t_eq_k_verdict": 411, "_t_lt_k_verdict": 356, "_untouched_flags": 499}
+        _closed_form_verdicts(CLOSED_FORM_ORDERS)
+        assert filled == expected
+        _closed_form_verdicts(CLOSED_FORM_ORDERS)
+        assert filled == expected
+
+    def test_orders_of_one_signature_share_verdicts(self, filled):
+        # 210 = 2 3 5 7 and 330 = 2 3 5 11 have one signature and list their
+        # divisors in one class order: once 210 has filled the table, 330
+        # reads every verdict from it.  90 = 2 3^2 5 and 150 = 2 3 5^2 share
+        # a signature too, but a t = k key holds the members and the witness
+        # pairs in the order of their values, which differs for two of the
+        # t = k sets of 150; it reads every verdict below t = k.
+        for first, second, t_eq_k_fills in ((210, 330, 0), (90, 150, 2)):
+            _closed_form_verdicts([first])
+            before = Counter(filled)
+            _closed_form_verdicts([second])
+            assert filled - before == Counter({"_t_eq_k_verdict": t_eq_k_fills}), second
+
+    def test_another_witness_gets_its_own_verdict(self):
+        # Each t = k set is checked with its own witness first, then with
+        # the witness of every other t = k set of its order: the answer must
+        # be what the predicates give for that witness with a cleared table,
+        # not the stored verdict of the set's own witness.
+        changed = 0
+        for n in (180, 540, 1260):
+            f = factorize(n)
+            sets = [(ds, separation_witness(f, ds)) for ds in enumerate_separated(n, f.k)]
+            expected = {}
+            for ds, _ in sets:
+                for _, w in sets:
+                    distance_module._exponent_table.cache_clear()
+                    expected[ds, w] = extremal_check_t_eq_k(f, ds, w)
+            distance_module._exponent_table.cache_clear()
+            for ds, w in sets:
+                extremal_check_t_eq_k(f, ds, w)
+            for ds, own in sets:
+                for _, w in sets:
+                    assert extremal_check_t_eq_k(f, ds, w) == expected[ds, w], (n, ds, w)
+                    changed += expected[ds, w] != expected[ds, own]
+        assert changed > 0
+
+    def test_domain_errors_on_every_call(self):
+        # Each refusal is made before the lookup: on a second call as on the
+        # first, and also when the verdict map holds an entry under each key
+        # the refused call could read.
+        f30, f450, f540 = factorize(30), factorize(450), factorize(540)
+        ds, w = make_separated(540, [45, 20, 108])
+        pair = make_divisor_set(540, [45, 20])
+        two_three = make_divisor_set(30, [2, 3])
+        all_touched = make_divisor_set(450, [25, 9, 2])
+        foreign = SeparationWitness(((45, 7),) + w.assignment[1:])
+        cases = [
+            # |D| != k at t = k, and |D| >= k below it.
+            (f540, pair, w, lambda: extremal_check_t_eq_k(f540, pair, w)),
+            (f540, ds, w, lambda: extremal_check_t_lt_k(f540, ds, w)),
+            # 30 has s(n) = 3, and 5 divides neither 2 nor 3.
+            (f30, two_three, None, lambda: extremal_check_t_lt_k(f30, two_three, w)),
+            # Every prime of 450 divides one of 25, 9 and 2.
+            (f450, all_touched, None, lambda: check_untouched_prime(f450, all_touched)),
+            # A witness naming 7, which does not divide 540.
+            (f540, ds, None, lambda: extremal_check_t_eq_k(f540, ds, foreign)),
+        ]
+        for f, refused, witness, call in cases:
+            classes = distance_module.divisor_classes(f)
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    call()
+            assert not classes.verdicts
+            mask = sum(1 << classes.index[d] for d in refused.divisors)
+            classes.verdicts[mask] = ExtremalVerdict(True, "stored")
+            classes.verdicts[-mask] = (True, True, True)
+            if witness is not None:
+                pairs = itertools.chain(refused.divisors, *witness.assignment)
+                classes.verdicts[tuple(classes.index[x] for x in pairs)] = ExtremalVerdict(True)
+            with pytest.raises(DomainError):
+                call()
+            distance_module._exponent_table.cache_clear()
+
+    def test_worst_vertex_reads_the_stored_verdict(self, monkeypatch):
+        # The closed-form layer checks a t = k set and then asks for its
+        # worst vertex: the conditions of the r(n) theorem are evaluated once.
+        evaluated = Counter()
+        for name in ("_condition_i_holds", "_condition_ii_holds"):
+
+            def counting(*args, _name=name, _holds=getattr(extremal_module, name)):
+                evaluated[_name] += 1
+                return _holds(*args)
+
+            monkeypatch.setattr(extremal_module, name, counting)
+        f = factorize(540)
+        ds, w = make_separated(540, [45, 20, 108])
+        assert extremal_check_t_eq_k(f, ds, w).matched_condition == "thm:r(n) i"
+        assert evaluated == {"_condition_i_holds": 1}
+        assert worst_vertex(f, ds, w, variant="I") == 354
+        assert evaluated == {"_condition_i_holds": 1}
+        f = factorize(6750)
+        ds, w = make_separated(6750, [75, 250, 18])
+        assert extremal_check_t_eq_k(f, ds, w).matched_condition == "thm:r(n) ii"
+        worst_vertex(f, ds, w, variant="II")
+        assert evaluated == {"_condition_i_holds": 2, "_condition_ii_holds": 1}
 
 
 class TestSmallFamilies:

@@ -573,6 +573,26 @@ class TestVerifyRange:
                 verify_range(4600, 4620, jobs=jobs, fail_fast=fail_fast)
         assert searched == [] and pool_sizes == []
 
+    def test_lone_order_is_its_verify_order(self, monkeypatch, pool_sizes):
+        # One order, or one worker, runs a plain loop in this process; the
+        # report holds exactly what verify_order gives, fail_fast or not.
+        for n in (2, 12, 270, 378):
+            records = tuple(verify_order(n))
+            for fail_fast in (False, True):
+                report = verify_range(n, n, fail_fast=fail_fast)
+                assert report == RangeReport(n, n, records), (n, fail_fast)
+        # 270 is the first order with a mismatch: a serial fail_fast run
+        # stops after it.
+        report = verify_range(269, 272, fail_fast=True)
+        assert [r.n for r in report.records][-1] == 270
+        assert verify_range(269, 272).records[-1].n == 272
+        # A lone refused order is refused by verify_order before its search.
+        searched = []
+        monkeypatch.setattr(icg.verify, "_search", lambda *args: searched.append(args))
+        with pytest.raises(ResourceLimitError, match="n=4620 has 1729647"):
+            verify_range(4620, 4620)
+        assert searched == [] and pool_sizes == []
+
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
             verify_range(5, 4)
