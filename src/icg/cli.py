@@ -82,13 +82,13 @@ def _emit(obj: dict, text: str, fmt: str) -> None:
 def cmd_diameter(args) -> int:
     g = make_instance(args.n, args.divisors)
     result = diameter(g)
-    obj = {"instance": g.to_json_obj(), **result.to_json_obj()}
-    if result.value is None:
-        text = f"infinite (disconnected); unreachable vertex {result.witness_vertex}"
+    if args.format == "json":
+        print(json.dumps({"instance": g.to_json_obj(), **result.to_json_obj()}, sort_keys=True))
+    elif result.value is None:
+        print(f"infinite (disconnected); unreachable vertex {result.witness_vertex}")
     else:
-        path = "-".join(str(v) for v in result.witness_path)
-        text = f"{result.value} (witness vertex {result.witness_vertex}, path {path})"
-    _emit(obj, text, args.format)
+        path = "-".join(map(str, result.witness_path))
+        print(f"{result.value} (witness vertex {result.witness_vertex}, path {path})")
     return 0
 
 

@@ -18,15 +18,17 @@ so diameters and their witness vertices are read off the class distances.
 The BFS reads one successor row per divisor set D: entry i is the mask of
 classes that one symbol of D takes class i to.  It is the OR of the rows
 of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
-frontier class.  The class indices put 2 in the lowest digit, then the
-odd primes by ascending exponent, ties by prime, and the rules see a prime
-only through p == 2 and its exponent.  So a step row depends on n only
-through its exponent signature (``numtheory.Signature``): the exponent of
-2, 0 for odd n, and the sorted odd exponents.  60, 84, 132 and 140 have
-the same rows, and so do 90 = 2 3^2 5 and 150 = 2 3 5^2.  The predictions
-of ``extremal`` read n only through its signature too, and its verdicts on
-a divisor set read each member and witness prime only through its class
-digits.
+frontier class.  ``levels_from_zero`` lists the classes of each level;
+``class_diameter``, the same BFS for callers that read only the diameter,
+counts the levels instead.  The class indices put 2 in the lowest digit,
+then the odd primes by ascending exponent, ties by prime, and the rules
+see a prime only through p == 2 and its exponent.  So a step row depends
+on n only through its exponent signature (``numtheory.Signature``): the
+exponent of 2, 0 for odd n, and the sorted odd exponents.  60, 84, 132
+and 140 have the same rows, and so do 90 = 2 3^2 5 and 150 = 2 3 5^2.
+The predictions of ``extremal`` read n only through its signature too,
+and its verdicts on a divisor set read each member and witness prime only
+through its class digits.
 
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
@@ -50,7 +52,9 @@ goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
 The candidates of class c reached by a symbol of class e are the
 progression u = 0 (mod c), u = cur (mod e), and the pair is searched only
 when the step row of e takes the class of cur to c, so each search ends
-at a hit below n.
+at a hit below n.  ``diameter`` fetches the step row of each member of D
+once: it ORs the rows into D's row for the BFS and reuses them at every
+step of the path.
 
 ``apsp_oracle`` deliberately uses a plain queue-based BFS per source vertex
 over all n vertices, so it is an independent cross-check of the class BFS.
@@ -264,11 +268,27 @@ def levels_from_zero(row) -> list[int]:
 
 def class_diameter(row) -> int | None:
     """Diameter of ICG_n(D) for the successor row of D; None when some
-    class is not reached."""
-    levels = levels_from_zero(row)
-    if sum(levels) != (1 << len(row)) - 1:
-        return None
-    return len(levels) - 1
+    class is not reached.
+
+    The BFS of ``levels_from_zero``, counting its levels instead of
+    listing them: the witness search calls it once per set it measures,
+    and reads only the count."""
+    full = (1 << len(row)) - 1
+    frontier = reached = 1 << (len(row) - 1)
+    depth = 0
+    while reached != full:
+        nxt = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            nxt |= row[low.bit_length() - 1]
+            rest ^= low
+        frontier = nxt & ~reached
+        if not frontier:
+            return None
+        reached |= frontier
+        depth += 1
+    return depth
 
 
 @lru_cache(maxsize=8)
@@ -296,19 +316,27 @@ def _step_towards_zero(classes: DivisorClasses, steps, level: int, cur: int) -> 
     """Smallest vertex u in the classes of the bitmask level with
     gcd(cur - u, n) = e for some pair (e, step(e)) of steps; see
     ``diameter``."""
-    n = classes.divisors[-1]
-    gate = classes.index[math.gcd(cur, n)]
+    divisors = classes.divisors
+    n = divisors[-1]
+    gcd = math.gcd
+    gate = classes.index[gcd(cur, n)]
     best = n
     for e, step in steps:
-        for i in _bits(step[gate] & level):
-            c = classes.divisors[i]
-            h = math.gcd(c, e)
-            u = c * (cur // h * pow(c // h, -1, e // h) % (e // h))
+        rest = step[gate] & level
+        while rest:  # _bits inlined, lowest class first
+            low = rest & -rest
+            rest ^= low
+            c = divisors[low.bit_length() - 1]
+            h = gcd(c, e)
+            m = e // h
+            c_h = c // h
+            u = c * (cur // h * pow(c_h, -1, m) % m)
+            stride = c_h * e
             while u < best:
-                if math.gcd(u, n) == c and math.gcd(cur - u, n) == e:
+                if gcd(u, n) == c and gcd(cur - u, n) == e:
                     best = u
                     break
-                u += c // h * e
+                u += stride
     return best
 
 
@@ -328,15 +356,17 @@ def diameter(g: IcgInstance) -> DiameterResult:
     of its pair, so the minimum over pairs is the smallest vertex of all.
     """
     classes = divisor_classes(g.factorization)
-    divisors = g.divisor_set.divisors
-    levels = levels_from_zero(classes.reach(divisors))
+    steps = [(e, classes.step(e)) for e in g.divisor_set.divisors]
+    row = steps[0][1]  # a divisor set is not empty
+    for _, step in steps[1:]:
+        row = list(map(or_, row, step))
+    levels = levels_from_zero(row)
     if not is_connected(g.divisor_set):
         reached = sum(levels)
         witness = min(c for i, c in enumerate(classes.divisors) if not reached >> i & 1)
         return DiameterResult(None, witness, None)
     witness = min(classes.divisors[i] for i in _bits(levels[-1]))
     path = [witness]
-    steps = [(e, classes.step(e)) for e in divisors]
     for level in reversed(levels[:-1]):
         path.append(_step_towards_zero(classes, steps, level, path[-1]))
     return DiameterResult(len(levels) - 1, witness, tuple(reversed(path)))

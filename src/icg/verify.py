@@ -25,11 +25,15 @@ holds such an order is refused before any order is searched.
 The search carries each set's class-index bitmask and reads its diameter
 from the signature table of ``icg.distance``; only a set that misses runs a
 BFS, and the table keeps the result for every later order of the
-signature.  The successor row that BFS reads is built lazily: a set whose
-parent's row is known gets its row by one OR with the step row of its last
-divisor, and a level of the search with no known row builds its prefix's
-row once, on its first miss.  With ``jobs`` above 1 each pool worker fills
-its own tables.
+signature.  The search carries a set as a stack of positions in the list
+of proper divisors and builds a witness tuple only when a set sets a
+record.  It keeps one list of step rows, the row of each position fetched
+from the signature table on first use.  The successor row that BFS reads
+is built lazily: a level of the search builds its prefix's row on its
+first miss, by OR-ing the step rows of the stack, and passes no row down,
+so a level whose sets all hit the table builds none.  The BFS,
+``class_diameter``, counts levels without listing them.  With ``jobs``
+above 1 each pool worker fills its own tables.
 
 The search reads the divisors only through their class indices, taken in
 ascending order of value: connectivity, rows, diameters, the floor below
@@ -152,44 +156,47 @@ def _search(
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
     bits = [1 << i for i in order]
+    steps: list[tuple[int, ...] | None] = [None] * len(divisors)
+    stack: list[int] = []  # the positions of the prefix of the level being searched
 
-    def extend(
-        prefix: tuple[int, ...],
-        prefix_gcd: int,
-        prefix_mask: int,
-        prefix_row: list[int] | None,
-        start: int,
-        cap: int,
-    ) -> None:
-        """Visit each set prefix + (d,) with d from divisors[start:], then
-        its extensions; prefix_mask has the class indices of prefix,
-        prefix_row is its successor row, or None until a set here misses
-        the signature's diameters, and cap bounds the diameter of every set
-        here: that of prefix's nearest connected ancestor, prefix included."""
+    def step(i: int) -> tuple[int, ...]:
+        """The step row of divisors[i], fetched on first use."""
+        row = steps[i]
+        if row is None:
+            row = steps[i] = classes.step(divisors[i])
+        return row
+
+    def extend(prefix_gcd: int, prefix_mask: int, start: int, cap: int) -> None:
+        """Visit each set of the positions stack + [i], i from start on,
+        then its extensions; prefix_mask has the class indices of the
+        prefix, and cap bounds the diameter of every set here: that of the
+        prefix's nearest connected ancestor, the prefix included."""
         nonlocal done
-        size = len(prefix) + 1
+        size = len(stack) + 1
+        prefix_row = None  # built on the level's first diameter miss
         for i in range(start, len(divisors)):
             if size >= done:
                 return  # these sets and their extensions cannot change a record
             node_gcd = math.gcd(prefix_gcd, divisors[i])
             if node_gcd != 1 and size == k:
                 continue  # no BFS and no extensions: its row is never read
-            node = prefix + (divisors[i],)
             mask = prefix_mask | bits[i]
-            row = None
             if node_gcd == 1:
                 diam = diameters.get(mask)
                 if diam is None:
                     if prefix_row is None:
-                        prefix_row = classes.reach(prefix)
-                    row = list(map(or_, prefix_row, classes.step(divisors[i])))
-                    diam = class_diameter(row)
+                        # The empty prefix of the top level reaches nothing.
+                        prefix_row = step(stack[0]) if stack else (0,) * len(classes.divisors)
+                        for j in stack[1:]:
+                            prefix_row = list(map(or_, prefix_row, step(j)))
+                    diam = class_diameter(list(map(or_, prefix_row, step(i))))
                     if diam is None:
+                        node = tuple(divisors[j] for j in (*stack, i))
                         n = classes.divisors[-1]
                         raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                     diameters[mask] = diam
                 if diam > best[size][0]:
-                    best[size] = (diam, node)
+                    best[size] = (diam, tuple(divisors[j] for j in (*stack, i)))
                     bar[size] = max(diam, bar[size])
                     if diam == floor[size]:
                         while done > 1 and best[done - 1][0] == floor[done - 1]:
@@ -202,14 +209,14 @@ def _search(
                 # record or reach a known maximum above diam.
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
-            if row is None and prefix_row is not None:
-                row = list(map(or_, prefix_row, classes.step(divisors[i])))
-            extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
+            stack.append(i)
+            extend(node_gcd, mask, i + 1, diam if node_gcd == 1 else cap)
+            stack.pop()
             if cap <= bar[size] and cap <= min(bar[size:]):
                 return
 
     # No diameter reaches the number of classes.
-    extend((), 0, 0, None, 0, len(classes.divisors))
+    extend(0, 0, 0, len(classes.divisors))
     return best[1:]
 
 

@@ -82,6 +82,48 @@ class TestDiameter:
         assert code == 2
         assert err.strip() != ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_stdout_is_pinned(self, capsys, fmt):
+        # csv has no form of its own for one diameter: it prints the text line.
+        text = (
+            "3 (witness vertex 2, path 0-8-5-2)\n"
+            "infinite (disconnected); unreachable vertex 1\n"
+        )
+        expected = {
+            "json": (
+                '{"infinite": false, "instance": {"divisors": [3, 4], "n": 12}, "value": 3, '
+                '"witness_path": [0, 8, 5, 2], "witness_vertex": 2}\n'
+                '{"infinite": true, "instance": {"divisors": [2, 4], "n": 12}, "value": null, '
+                '"witness_path": null, "witness_vertex": 1}\n'
+            ),
+        }.get(fmt, text)
+        assert [main(["--format", fmt, "diameter", "12", ds]) for ds in ("3,4", "2,4")] == [0, 0]
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "be89ced166e6481e507a6af9ed554e00d701a336c4d5920ef21c57c41f8fb746"),
+            ("json", "b56a90ffbe2e4d16abb0f0e4a49a6bb8dcfd2a7e12578bdbe2ffe07245bad31f"),
+            ("csv", "be89ced166e6481e507a6af9ed554e00d701a336c4d5920ef21c57c41f8fb746"),
+        ],
+    )
+    def test_worked_examples_pinned(self, capsys, fmt, digest):
+        # sha256 of the stdout of the four worked examples of
+        # bench/workloads.py, computed before cmd_diameter built only the
+        # requested format and diameter read each step row once.
+        worked = [
+            ("420", "60,70,84,105"),
+            ("1260", "105,140,180,252"),
+            ("6750", "18,75,250"),
+            ("22050", "105,450,882,2450"),
+        ]
+        for n, ds in worked:
+            assert main(["--format", fmt, "diameter", n, ds]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPredict:
     def test_overall(self, capsys):
