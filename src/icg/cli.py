@@ -75,20 +75,22 @@ def _order_range(text: str) -> tuple[int, int]:
         raise ValueError(f"expected lo..hi, got {text!r}") from None
 
 
-def _emit(obj: dict, text: str, fmt: str) -> None:
+def _emit(obj: dict, text: str | None, fmt: str) -> None:
     print(json.dumps(obj, sort_keys=True) if fmt == "json" else text)
 
 
 def cmd_diameter(args) -> int:
     g = make_instance(args.n, args.divisors)
     result = diameter(g)
+    obj = {"instance": g.to_json_obj(), **result.to_json_obj()}
     if args.format == "json":
-        print(json.dumps({"instance": g.to_json_obj(), **result.to_json_obj()}, sort_keys=True))
+        text = None  # not printed, so the path line is not built
     elif result.value is None:
-        print(f"infinite (disconnected); unreachable vertex {result.witness_vertex}")
+        text = f"infinite (disconnected); unreachable vertex {result.witness_vertex}"
     else:
-        path = "-".join(map(str, result.witness_path))
-        print(f"{result.value} (witness vertex {result.witness_vertex}, path {path})")
+        path = "-".join(str(v) for v in result.witness_path)
+        text = f"{result.value} (witness vertex {result.witness_vertex}, path {path})"
+    _emit(obj, text, args.format)
     return 0
 
 

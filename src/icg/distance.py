@@ -18,17 +18,15 @@ so diameters and their witness vertices are read off the class distances.
 The BFS reads one successor row per divisor set D: entry i is the mask of
 classes that one symbol of D takes class i to.  It is the OR of the rows
 of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
-frontier class.  ``levels_from_zero`` lists the classes of each level;
-``class_diameter``, the same BFS for callers that read only the diameter,
-counts the levels instead.  The class indices put 2 in the lowest digit,
-then the odd primes by ascending exponent, ties by prime, and the rules
-see a prime only through p == 2 and its exponent.  So a step row depends
-on n only through its exponent signature (``numtheory.Signature``): the
-exponent of 2, 0 for odd n, and the sorted odd exponents.  60, 84, 132
-and 140 have the same rows, and so do 90 = 2 3^2 5 and 150 = 2 3 5^2.
-The predictions of ``extremal`` read n only through its signature too,
-and its verdicts on a divisor set read each member and witness prime only
-through its class digits.
+frontier class; ``or_rows`` is the one place that ORs rows.  The class
+indices put 2 in the lowest digit, then the odd primes by ascending
+exponent, ties by prime, and the rules see a prime only through p == 2
+and its exponent.  So a step row depends on n only through its exponent
+signature (``numtheory.Signature``): the exponent of 2, 0 for odd n, and
+the sorted odd exponents.  60, 84, 132 and 140 have the same rows, and so
+do 90 = 2 3^2 5 and 150 = 2 3 5^2.  The predictions of ``extremal`` read
+n only through its signature too, and its verdicts on a divisor set read
+each member and witness prime only through its class digits.
 
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
@@ -64,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from operator import or_
 from types import MappingProxyType
@@ -198,10 +196,7 @@ class DivisorClasses:
     def reach(self, divisors) -> list[int]:
         """The successor row of the divisor set: for each class index, the
         mask of classes that one symbol of any class in divisors reaches."""
-        row = [0] * len(self.divisors)
-        for d in divisors:
-            row = list(map(or_, row, self.step(d)))
-        return row
+        return or_rows([0] * len(self.divisors), map(self.step, divisors))
 
 
 @lru_cache(maxsize=8)  # callers go order by order; tau(n) = 6720 takes about 1.3 MB
@@ -243,6 +238,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def or_rows(row, rows) -> Sequence[int]:
+    """row OR-ed elementwise with each row of rows, a new list unless rows
+    is empty: the successor row of a divisor set is the OR of its
+    members' step rows."""
+    for other in rows:
+        row = list(map(or_, row, other))
+    return row
+
+
 def levels_from_zero(row) -> list[int]:
     """Bitmask of newly reached classes per BFS level, starting at the
     class of vertex 0, for the successor row of a divisor set (see
@@ -268,27 +272,11 @@ def levels_from_zero(row) -> list[int]:
 
 def class_diameter(row) -> int | None:
     """Diameter of ICG_n(D) for the successor row of D; None when some
-    class is not reached.
-
-    The BFS of ``levels_from_zero``, counting its levels instead of
-    listing them: the witness search calls it once per set it measures,
-    and reads only the count."""
-    full = (1 << len(row)) - 1
-    frontier = reached = 1 << (len(row) - 1)
-    depth = 0
-    while reached != full:
-        nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            nxt |= row[low.bit_length() - 1]
-            rest ^= low
-        frontier = nxt & ~reached
-        if not frontier:
-            return None
-        reached |= frontier
-        depth += 1
-    return depth
+    class is not reached."""
+    levels = levels_from_zero(row)
+    if sum(levels) != (1 << len(row)) - 1:
+        return None
+    return len(levels) - 1
 
 
 @lru_cache(maxsize=8)
@@ -316,27 +304,19 @@ def _step_towards_zero(classes: DivisorClasses, steps, level: int, cur: int) -> 
     """Smallest vertex u in the classes of the bitmask level with
     gcd(cur - u, n) = e for some pair (e, step(e)) of steps; see
     ``diameter``."""
-    divisors = classes.divisors
-    n = divisors[-1]
-    gcd = math.gcd
-    gate = classes.index[gcd(cur, n)]
+    n = classes.divisors[-1]
+    gate = classes.index[math.gcd(cur, n)]
     best = n
     for e, step in steps:
-        rest = step[gate] & level
-        while rest:  # _bits inlined, lowest class first
-            low = rest & -rest
-            rest ^= low
-            c = divisors[low.bit_length() - 1]
-            h = gcd(c, e)
-            m = e // h
-            c_h = c // h
-            u = c * (cur // h * pow(c_h, -1, m) % m)
-            stride = c_h * e
+        for i in _bits(step[gate] & level):
+            c = classes.divisors[i]
+            h = math.gcd(c, e)
+            u = c * (cur // h * pow(c // h, -1, e // h) % (e // h))
             while u < best:
-                if gcd(u, n) == c and gcd(cur - u, n) == e:
+                if math.gcd(u, n) == c and math.gcd(cur - u, n) == e:
                     best = u
                     break
-                u += stride
+                u += c // h * e
     return best
 
 
@@ -357,10 +337,8 @@ def diameter(g: IcgInstance) -> DiameterResult:
     """
     classes = divisor_classes(g.factorization)
     steps = [(e, classes.step(e)) for e in g.divisor_set.divisors]
-    row = steps[0][1]  # a divisor set is not empty
-    for _, step in steps[1:]:
-        row = list(map(or_, row, step))
-    levels = levels_from_zero(row)
+    # A divisor set is not empty.
+    levels = levels_from_zero(or_rows(steps[0][1], (step for _, step in steps[1:])))
     if not is_connected(g.divisor_set):
         reached = sum(levels)
         witness = min(c for i, c in enumerate(classes.divisors) if not reached >> i & 1)

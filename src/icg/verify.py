@@ -25,14 +25,12 @@ holds such an order is refused before any order is searched.
 The search carries each set's class-index bitmask and reads its diameter
 from the signature table of ``icg.distance``; only a set that misses runs a
 BFS, and the table keeps the result for every later order of the
-signature.  The search carries a set as a stack of positions in the list
-of proper divisors and builds a witness tuple only when a set sets a
-record.  It keeps one list of step rows, the row of each position fetched
-from the signature table on first use.  The successor row that BFS reads
-is built lazily: a level of the search builds its prefix's row on its
-first miss, by OR-ing the step rows of the stack, and passes no row down,
-so a level whose sets all hit the table builds none.  The BFS,
-``class_diameter``, counts levels without listing them.  With ``jobs``
+signature.  The search carries a set as a stack of its divisors and
+builds a witness tuple only when a set sets a record.  The successor row
+that BFS reads is built lazily: a level of the search builds its prefix's
+row on its first miss (``DivisorClasses.reach``) and ORs it with the step
+row of each set's last divisor, and it passes no row down, so a level
+whose sets all hit the table builds none.  With ``jobs``
 above 1 each pool worker fills its own tables.
 
 The search reads the divisors only through their class indices, taken in
@@ -69,11 +67,10 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, class_diameter, divisor_classes
+from .distance import DivisorClasses, class_diameter, divisor_classes, or_rows
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import factorize
@@ -156,21 +153,13 @@ def _search(
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
     bits = [1 << i for i in order]
-    steps: list[tuple[int, ...] | None] = [None] * len(divisors)
-    stack: list[int] = []  # the positions of the prefix of the level being searched
-
-    def step(i: int) -> tuple[int, ...]:
-        """The step row of divisors[i], fetched on first use."""
-        row = steps[i]
-        if row is None:
-            row = steps[i] = classes.step(divisors[i])
-        return row
+    stack: list[int] = []  # the prefix of the level being searched
 
     def extend(prefix_gcd: int, prefix_mask: int, start: int, cap: int) -> None:
-        """Visit each set of the positions stack + [i], i from start on,
-        then its extensions; prefix_mask has the class indices of the
-        prefix, and cap bounds the diameter of every set here: that of the
-        prefix's nearest connected ancestor, the prefix included."""
+        """Visit each set stack + [d] with d from divisors[start:], then its
+        extensions; prefix_mask has the class indices of the prefix, and
+        cap bounds the diameter of every set here: that of the prefix's
+        nearest connected ancestor, the prefix included."""
         nonlocal done
         size = len(stack) + 1
         prefix_row = None  # built on the level's first diameter miss
@@ -185,18 +174,15 @@ def _search(
                 diam = diameters.get(mask)
                 if diam is None:
                     if prefix_row is None:
-                        # The empty prefix of the top level reaches nothing.
-                        prefix_row = step(stack[0]) if stack else (0,) * len(classes.divisors)
-                        for j in stack[1:]:
-                            prefix_row = list(map(or_, prefix_row, step(j)))
-                    diam = class_diameter(list(map(or_, prefix_row, step(i))))
+                        prefix_row = classes.reach(stack)
+                    diam = class_diameter(or_rows(prefix_row, (classes.step(divisors[i]),)))
                     if diam is None:
-                        node = tuple(divisors[j] for j in (*stack, i))
+                        node = (*stack, divisors[i])
                         n = classes.divisors[-1]
                         raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                     diameters[mask] = diam
                 if diam > best[size][0]:
-                    best[size] = (diam, tuple(divisors[j] for j in (*stack, i)))
+                    best[size] = (diam, (*stack, divisors[i]))
                     bar[size] = max(diam, bar[size])
                     if diam == floor[size]:
                         while done > 1 and best[done - 1][0] == floor[done - 1]:
@@ -209,7 +195,7 @@ def _search(
                 # record or reach a known maximum above diam.
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
-            stack.append(i)
+            stack.append(divisors[i])
             extend(node_gcd, mask, i + 1, diam if node_gcd == 1 else cap)
             stack.pop()
             if cap <= bar[size] and cap <= min(bar[size:]):

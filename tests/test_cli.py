@@ -110,8 +110,8 @@ class TestDiameter:
     )
     def test_worked_examples_pinned(self, capsys, fmt, digest):
         # sha256 of the stdout of the four worked examples of
-        # bench/workloads.py, computed before cmd_diameter built only the
-        # requested format and diameter read each step row once.
+        # bench/workloads.py, computed before diameter read each step row
+        # once per query.
         worked = [
             ("420", "60,70,84,105"),
             ("1260", "105,140,180,252"),

@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icg.canonical import divisor_subsets
 from icg.core import make_instance
 from icg.distance import (
     DivisorClasses,
     apsp_oracle,
     bfs_profile,
-    class_diameter,
     diameter,
     distance,
     levels_from_zero,
@@ -322,27 +320,6 @@ class TestLevelsEarlyExit:
                     assert levels == all_levels(row), (n, combo)
                     disconnected += sum(levels) != (1 << len(row)) - 1
         assert disconnected > 0
-
-
-class TestCountingBfs:
-    def test_counts_the_levels_of_levels_from_zero(self):
-        # class_diameter runs the BFS of levels_from_zero with a level
-        # count in place of the level list, so the two loops must agree on
-        # every set the witness search can measure: the sets of at most k
-        # proper divisors.  A disconnected set leaves classes unreached.
-        connected = disconnected = 0
-        for n in range(2, 201):
-            f = factorize(n)
-            classes = DivisorClasses(f)
-            for ds in divisor_subsets(n, 1, f.k):
-                row = classes.reach(ds)
-                if math.gcd(*ds) == 1:
-                    assert class_diameter(row) == len(levels_from_zero(row)) - 1, (n, ds)
-                    connected += 1
-                else:
-                    assert class_diameter(row) is None, (n, ds)
-                    disconnected += 1
-        assert connected > 0 and disconnected > 0
 
 
 class TestStepRows:

@@ -276,16 +276,6 @@ class TestSignatureMaxima:
         report = RangeReport(2, 1000, tuple(r for n in range(2, 1001) for r in chunks[n]))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
 
-    def test_shuffled_orders_match_pinned_sweep(self):
-        # Each signature's maxima and step rows now come from whichever of
-        # its orders a seeded shuffle puts first.
-        distance_module._exponent_table.cache_clear()
-        orders = list(range(2, 1001))
-        random.Random(2026).shuffle(orders)
-        chunks = {n: verify_order(n) for n in orders}
-        report = RangeReport(2, 1000, tuple(r for n in range(2, 1001) for r in chunks[n]))
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
-
 
 class TestShapeTable:
     """verify_order reads each set's diameter from the table of its
