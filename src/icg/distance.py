@@ -17,8 +17,8 @@ so diameters and their witness vertices are read off the class distances.
 
 The BFS reads one successor row per divisor set D: entry i is the mask of
 classes that one symbol of D takes class i to.  It is the OR of the rows
-of D's symbol classes (``DivisorClasses.reach``), so a BFS does one OR per
-frontier class; ``or_rows`` is the one place that ORs rows.  The class
+of D's symbol classes (``DivisorClasses.reach``, or ``or_rows`` over rows
+already fetched), so a BFS does one OR per frontier class.  The class
 indices put 2 in the lowest digit, then the odd primes by ascending
 exponent, ties by prime, and the rules see a prime only through p == 2
 and its exponent.  So a step row depends on n only through its exponent

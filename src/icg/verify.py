@@ -25,13 +25,11 @@ holds such an order is refused before any order is searched.
 The search carries each set's class-index bitmask and reads its diameter
 from the signature table of ``icg.distance``; only a set that misses runs a
 BFS, and the table keeps the result for every later order of the
-signature.  The search carries a set as a stack of its divisors and
-builds a witness tuple only when a set sets a record.  The successor row
-that BFS reads is built lazily: a level of the search builds its prefix's
-row on its first miss (``DivisorClasses.reach``) and ORs it with the step
-row of each set's last divisor, and it passes no row down, so a level
-whose sets all hit the table builds none.  With ``jobs``
-above 1 each pool worker fills its own tables.
+signature.  The successor row that BFS reads is built lazily: a set whose
+parent's row is known gets its row by one OR with the step row of its last
+divisor, and a level of the search with no known row builds its prefix's
+row once, on its first miss.  With ``jobs`` above 1 each pool worker fills
+its own tables.
 
 The search reads the divisors only through their class indices, taken in
 ascending order of value: connectivity, rows, diameters, the floor below
@@ -67,10 +65,11 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, class_diameter, divisor_classes, or_rows
+from .distance import DivisorClasses, class_diameter, divisor_classes
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import factorize
@@ -153,36 +152,44 @@ def _search(
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
     bits = [1 << i for i in order]
-    stack: list[int] = []  # the prefix of the level being searched
 
-    def extend(prefix_gcd: int, prefix_mask: int, start: int, cap: int) -> None:
-        """Visit each set stack + [d] with d from divisors[start:], then its
-        extensions; prefix_mask has the class indices of the prefix, and
-        cap bounds the diameter of every set here: that of the prefix's
-        nearest connected ancestor, the prefix included."""
+    def extend(
+        prefix: tuple[int, ...],
+        prefix_gcd: int,
+        prefix_mask: int,
+        prefix_row: list[int] | None,
+        start: int,
+        cap: int,
+    ) -> None:
+        """Visit each set prefix + (d,) with d from divisors[start:], then
+        its extensions; prefix_mask has the class indices of prefix,
+        prefix_row is its successor row, or None until a set here misses
+        the signature's diameters, and cap bounds the diameter of every set
+        here: that of prefix's nearest connected ancestor, prefix included."""
         nonlocal done
-        size = len(stack) + 1
-        prefix_row = None  # built on the level's first diameter miss
+        size = len(prefix) + 1
         for i in range(start, len(divisors)):
             if size >= done:
                 return  # these sets and their extensions cannot change a record
             node_gcd = math.gcd(prefix_gcd, divisors[i])
             if node_gcd != 1 and size == k:
                 continue  # no BFS and no extensions: its row is never read
+            node = prefix + (divisors[i],)
             mask = prefix_mask | bits[i]
+            row = None
             if node_gcd == 1:
                 diam = diameters.get(mask)
                 if diam is None:
                     if prefix_row is None:
-                        prefix_row = classes.reach(stack)
-                    diam = class_diameter(or_rows(prefix_row, (classes.step(divisors[i]),)))
+                        prefix_row = classes.reach(prefix)
+                    row = list(map(or_, prefix_row, classes.step(divisors[i])))
+                    diam = class_diameter(row)
                     if diam is None:
-                        node = (*stack, divisors[i])
                         n = classes.divisors[-1]
                         raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                     diameters[mask] = diam
                 if diam > best[size][0]:
-                    best[size] = (diam, (*stack, divisors[i]))
+                    best[size] = (diam, node)
                     bar[size] = max(diam, bar[size])
                     if diam == floor[size]:
                         while done > 1 and best[done - 1][0] == floor[done - 1]:
@@ -195,14 +202,14 @@ def _search(
                 # record or reach a known maximum above diam.
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
-            stack.append(divisors[i])
-            extend(node_gcd, mask, i + 1, diam if node_gcd == 1 else cap)
-            stack.pop()
+            if row is None and prefix_row is not None:
+                row = list(map(or_, prefix_row, classes.step(divisors[i])))
+            extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
             if cap <= bar[size] and cap <= min(bar[size:]):
                 return
 
     # No diameter reaches the number of classes.
-    extend(0, 0, 0, len(classes.divisors))
+    extend((), 0, 0, None, 0, len(classes.divisors))
     return best[1:]
 
 
