@@ -54,13 +54,6 @@ class SeparationWitness(NamedTuple):
         return {"assignment": [{"divisor": d, "prime": p} for d, p in self.assignment]}
 
 
-def support_masks(f: Factorization, divisors: tuple[int, ...]) -> tuple[int, ...]:
-    """The prime-support mask of each divisor of n (bit i set when the i-th
-    prime of n divides it), in order."""
-    mask = divisor_classes(f).masks
-    return tuple([mask[d] for d in divisors])
-
-
 @lru_cache(maxsize=1024)  # the separated sets of the orders 2..1199 have 156 keys
 def eligible_bits(k: int, masks: tuple[int, ...]) -> tuple[int, ...]:
     """For each member mask m over k primes, the mask of its eligible
@@ -75,7 +68,11 @@ def _eligible(f: Factorization, divisors: tuple[int, ...]) -> list[tuple[int, ..
     """The eligible primes of each divisor, from the order table."""
     classes = divisor_classes(f)
     mask = classes.masks
-    return [classes.mask_primes[b] for b in eligible_bits(f.k, tuple([mask[d] for d in divisors]))]
+    try:
+        masks = tuple([mask[d] for d in divisors])
+    except KeyError as exc:
+        raise DomainError(f"{exc.args[0]} does not divide n={f.n}") from None
+    return [classes.mask_primes[b] for b in eligible_bits(f.k, masks)]
 
 
 def eligible_primes(f: Factorization, divisors: tuple[int, ...]) -> list[list[int]]:

@@ -41,7 +41,7 @@ from itertools import chain
 from operator import or_
 from typing import NamedTuple
 
-from .canonical import SeparationWitness, eligible_bits, eligible_primes, support_masks
+from .canonical import SeparationWitness, eligible_bits, eligible_primes
 from .core import DivisorSet, make_divisor_set, make_instance
 from .distance import DivisorClasses, divisor_classes
 from .errors import DomainError
@@ -370,7 +370,7 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     verdicts = classes.verdicts
     flags = verdicts.get(-key)
     if flags is None:
-        flags = verdicts[-key] = _untouched_flags(f, ds, touched, m, n_prime)
+        flags = verdicts[-key] = _untouched_flags(f, classes, ds, touched, m, n_prime)
     attains_r, two_t_plus_one, two_t = flags
     return UntouchedPrimeVerdict(
         attains_r, "thm:main" if attains_r else None, two_t_plus_one, m, n_prime, two_t
@@ -378,11 +378,10 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
 
 
 def _untouched_flags(
-    f: Factorization, ds: DivisorSet, touched: int, m: int, n_prime: int
+    f: Factorization, classes: DivisorClasses, ds: DivisorSet, touched: int, m: int, n_prime: int
 ) -> tuple[bool, bool, bool]:
     """Whether ds, touching the primes of the mask touched, attains r(n),
     2|D|+1 and 2|D|, for n = m * n' with n' the untouched part."""
-    masks = support_masks(f, ds.divisors)
     square_pair = attains_r = False
     if m == 1:
         # D = {1}: the square-pair condition over the (empty) touched part
@@ -397,11 +396,11 @@ def _untouched_flags(
         # members' masks lies in the touched mask, except for a lone member,
         # where it is every prime of n.  With |D| = k(m) disjoint nonempty
         # eligible sets hold one prime each, so the witness is unique.
+        masks = tuple([classes.masks[d] for d in ds.divisors])
         bits = [b & touched for b in eligible_bits(f.k, masks)]
         if all(bits):
-            w = SeparationWitness(
-                tuple([(d, f.factors[b.bit_length() - 1][0]) for d, b in zip(ds.divisors, bits)])
-            )
+            primes = classes.mask_primes
+            w = SeparationWitness(tuple([(d, primes[b][0]) for d, b in zip(ds.divisors, bits)]))
             square_pair = all(_squares_off(ds, p, (d,)) for d, p in w.assignment)
             attains_r = n_prime == 2 and _condition_i_holds(m, ds, w)
     even = n_prime % 2 == 0

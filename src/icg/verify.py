@@ -36,10 +36,11 @@ ascending order of value: connectivity, rows, diameters, the floor below
 and the guard are all functions of the class digits.  So its result, each
 size's maximum and witness written as class indices, is a function of the
 signature and of the order's divisor order, and the signature table keeps
-one witness row per divisor order.  An order whose row is stored maps the
-row's indices through its own divisors and runs no search: 2..3000 has
-2,999 orders but 339 divisor orders.  The guard runs before the lookup, so
-an order it refuses is refused whether its row is stored or not.
+one witness row per divisor order.  The search returns the row in the form
+the table stores, and every order maps its indices through its own
+divisors; an order whose row is stored runs no search: 2..3000 has 2,999
+orders but 339 divisor orders.  The guard runs before the lookup, so an
+order it refuses is refused whether its row is stored or not.
 
 The per-size maxima are a function of the signature alone, so every row
 of a signature holds the same ones.  A new divisor order of a known
@@ -113,16 +114,13 @@ def verify_order(n: int) -> list[VerificationRecord]:
     f = factorize(n)
     classes = divisor_classes(f)
     subset_sizes(n, len(classes.proper_divisors), 1, f.k)
-    index_of = classes.index.__getitem__
-    order = tuple(map(index_of, classes.proper_divisors))  # the divisor order
+    order = tuple(map(classes.index.__getitem__, classes.proper_divisors))  # the divisor order
     witnesses = classes.witnesses
     row = witnesses.get(order)
     if row is None:
-        best = _search(classes, order, f.k)
-        witnesses[order] = tuple((diam, tuple(map(index_of, w))) for diam, w in best)
-    else:
-        divisor_of = classes.divisors.__getitem__
-        best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
+        row = witnesses[order] = _search(classes, order, f.k)
+    divisor_of = classes.divisors.__getitem__
+    best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
     predictions = prediction_row(classes.signature)
     records = []
     for t, (predicted, (observed, witness)) in enumerate(zip(predictions.per_t, best), 1):
@@ -138,11 +136,12 @@ def verify_order(n: int) -> list[VerificationRecord]:
 
 def _search(
     classes: DivisorClasses, order: tuple[int, ...], k: int
-) -> list[tuple[int, tuple[int, ...]]]:
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """For each size t = 1..k, the maximal diameter of a connected set of t
-    proper divisors and the first such set, by size then lexicographically;
-    order holds the class indices of the proper divisors."""
+    proper divisors and the first such set, by size then lexicographically,
+    as class indices, like order: the row as the signature table stores it."""
     divisors = classes.proper_divisors
+    divisor_of = classes.divisors.__getitem__
     diameters = classes.diameters
     known = next(iter(classes.witnesses.values()), None)
     # floor[t] is the known maximum of size t, 0 while it is unknown.
@@ -161,8 +160,8 @@ def _search(
         start: int,
         cap: int,
     ) -> None:
-        """Visit each set prefix + (d,) with d from divisors[start:], then
-        its extensions; prefix_mask has the class indices of prefix,
+        """Visit each set prefix + (order[i],) with i from start, then its
+        extensions; prefix holds class indices, prefix_mask has them set,
         prefix_row is its successor row, or None until a set here misses
         the signature's diameters, and cap bounds the diameter of every set
         here: that of prefix's nearest connected ancestor, prefix included."""
@@ -174,18 +173,18 @@ def _search(
             node_gcd = math.gcd(prefix_gcd, divisors[i])
             if node_gcd != 1 and size == k:
                 continue  # no BFS and no extensions: its row is never read
-            node = prefix + (divisors[i],)
+            node = prefix + (order[i],)
             mask = prefix_mask | bits[i]
             row = None
             if node_gcd == 1:
                 diam = diameters.get(mask)
                 if diam is None:
                     if prefix_row is None:
-                        prefix_row = classes.reach(prefix)
+                        prefix_row = classes.reach(map(divisor_of, prefix))
                     row = list(map(or_, prefix_row, classes.step(divisors[i])))
                     diam = class_diameter(row)
                     if diam is None:
-                        n = classes.divisors[-1]
+                        n, node = classes.divisors[-1], tuple(map(divisor_of, node))
                         raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
                     diameters[mask] = diam
                 if diam > best[size][0]:
@@ -210,7 +209,7 @@ def _search(
 
     # No diameter reaches the number of classes.
     extend((), 0, 0, None, 0, len(classes.divisors))
-    return best[1:]
+    return tuple(best[1:])
 
 
 class RangeReport(NamedTuple):

@@ -152,6 +152,14 @@ class TestSeparationWitness:
                 assert d % p != 0
                 assert all(e % p == 0 for e in ds.divisors if e != d)
 
+    def test_separation_witness_refuses_a_non_divisor(self):
+        # The message is the one extremal's checks give for such a member.
+        with pytest.raises(DomainError, match="^7 does not divide n=30$"):
+            separation_witness(factorize(30), DivisorSet(30, (7, 10)))
+
+    def test_iter_witnesses_refuses_a_non_divisor(self):
+        with pytest.raises(DomainError, match="^4 does not divide n=30$"):
+            next(iter_witnesses(factorize(30), DivisorSet(30, (4, 15))))
 
     def test_all_witnesses_match_brute_force_in_order(self):
         # Every divisor subset with at most k elements, n <= 300.
@@ -192,6 +200,10 @@ class TestEligiblePrimes:
         ):
             f = factorize(m)
             assert eligible_primes(f, divisors) == gcd_eligible(f.primes, divisors) == expected
+
+    def test_refuses_a_non_divisor(self):
+        with pytest.raises(DomainError, match="^7 does not divide n=30$"):
+            eligible_primes(factorize(30), (7,))
 
     def test_lists_are_fresh(self):
         f = factorize(30)

@@ -100,6 +100,11 @@ class TestPstAdmissible:
                     fits = [a for a in (1, 2) if parts | {n >> a} == dset]
                     assert len(fits) <= 1, (n, combo)
 
+    def test_refuses_a_non_divisor(self):
+        # 24 is a multiple of 12, not a divisor: it would otherwise land in D3.
+        with pytest.raises(DomainError, match="^24 does not divide n=12$"):
+            pst_admissible(factorize(12), DivisorSet(12, (6, 24)))
+
     def test_rejects_non_multiples_of_four(self):
         assert pst_admissible(factorize(6), make_divisor_set(6, [1, 2])) is None
         assert pst_admissible(factorize(15), make_divisor_set(15, [1])) is None

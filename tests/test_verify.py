@@ -390,6 +390,19 @@ class TestWitnessRows:
         maxima = {tuple(m for m, _ in row) for row in rows.values()}
         assert len(maxima) == 1
 
+    def test_search_returns_the_stored_row(self):
+        # 90 = 2 * 3^2 * 5 lists its classes as 1, 2, 5, 10, 3, 6, ..., not
+        # in value order, so a row of divisors differs from one of indices.
+        distance_module._exponent_table.cache_clear()
+        records = verify_order(90)
+        f = factorize(90)
+        classes = DivisorClasses(f)
+        assert classes.divisors[:6] == (1, 2, 5, 10, 3, 6)
+        ((order, row),) = classes.witnesses.items()
+        assert icg.verify._search(classes, order, f.k) == row
+        witnesses = [tuple(classes.divisors[i] for i in w) for _, w in row]
+        assert witnesses == [r.witness_set for r in records[:-1]]
+
     def test_guard_refuses_before_the_lookup(self):
         # 4620 is the first order the subset guard refuses: a row stored
         # under its divisor order must not let it through.
