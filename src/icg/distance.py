@@ -124,12 +124,18 @@ class DivisorClasses:
         self._factors = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1]))
         divisors = [1]
         for p, a in self._factors:
-            divisors = [d * p**e for e in range(a + 1) for d in divisors]
+            # Digit e of p is the block of the divisors of the earlier
+            # primes times p**e: each new entry is p times the entry one
+            # block, the stride of p, below it.
+            for i in range(len(divisors) * a):
+                divisors.append(divisors[i] * p)
         #: divisors[i] is the divisor of class index i.
         self.divisors = tuple(divisors)
-        self.index = {d: i for i, d in enumerate(divisors)}
+        self.index = dict(zip(divisors, range(len(divisors))))
+        divisors.sort()
+        divisors.pop()  # n itself
         #: The proper divisors, ascending.
-        self.proper_divisors = tuple(sorted(divisors)[:-1])
+        self.proper_divisors = tuple(divisors)
         # The factors are already in signature order: 2 first, then the
         # odd exponents ascending.
         exponents = [a for _, a in self._factors]

@@ -25,11 +25,14 @@ holds such an order is refused before any order is searched.
 The search carries each set's class-index bitmask and reads its diameter
 from the signature table of ``icg.distance``; only a set that misses runs a
 BFS, and the table keeps the result for every later order of the
-signature.  The successor row that BFS reads is built lazily: a set whose
-parent's row is known gets its row by one OR with the step row of its last
-divisor, and a level of the search with no known row builds its prefix's
-row once, on its first miss.  With ``jobs`` above 1 each pool worker fills
-its own tables.
+signature.  The successor row that BFS reads is built lazily, from step
+rows that the search fetches from the order table once each: it keeps them
+in a list by class index, filled on a divisor's first use, because each
+fetch looks the signature table up again.  A set whose parent's row is
+known gets its row by one OR with the step row of its last divisor, read
+from that list, and a level of the search with no known row ORs its
+prefix's row from the list once, on its first miss.  With ``jobs`` above 1
+each pool worker fills its own tables, and each search its own list.
 
 The search reads the divisors only through their class indices, taken in
 ascending order of value: connectivity, rows, diameters, the floor below
@@ -70,7 +73,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, class_diameter, divisor_classes
+from .distance import DivisorClasses, class_diameter, divisor_classes, or_rows
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import factorize
@@ -139,7 +142,11 @@ def _search(
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """For each size t = 1..k, the maximal diameter of a connected set of t
     proper divisors and the first such set, by size then lexicographically,
-    as class indices, like order: the row as the signature table stores it."""
+    as class indices, like order: the row as the signature table stores it.
+
+    Every row it ORs, a node's or a level's prefix's, is built from the
+    list ``steps``, which holds each divisor's step row by class index once
+    ``classes.step`` has fetched it, on its first use in this search."""
     divisors = classes.proper_divisors
     divisor_of = classes.divisors.__getitem__
     diameters = classes.diameters
@@ -151,6 +158,13 @@ def _search(
     bar = [m - 1 for m in floor]
     done = k + 1  # every size from done to k holds a set at its known maximum
     bits = [1 << i for i in order]
+    steps = [None] * len(classes.divisors)
+
+    def step(c: int) -> tuple[int, ...]:
+        row = steps[c]
+        if row is None:
+            row = steps[c] = classes.step(divisor_of(c))
+        return row
 
     def extend(
         prefix: tuple[int, ...],
@@ -180,8 +194,8 @@ def _search(
                 diam = diameters.get(mask)
                 if diam is None:
                     if prefix_row is None:
-                        prefix_row = classes.reach(map(divisor_of, prefix))
-                    row = list(map(or_, prefix_row, classes.step(divisors[i])))
+                        prefix_row = or_rows([0] * len(steps), map(step, prefix))
+                    row = list(map(or_, prefix_row, step(order[i])))
                     diam = class_diameter(row)
                     if diam is None:
                         n, node = classes.divisors[-1], tuple(map(divisor_of, node))
@@ -202,7 +216,7 @@ def _search(
                 if size == k or diam <= min(bar[size + 1 :]):
                     continue
             if row is None and prefix_row is not None:
-                row = list(map(or_, prefix_row, classes.step(divisors[i])))
+                row = list(map(or_, prefix_row, step(order[i])))
             extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
             if cap <= bar[size] and cap <= min(bar[size:]):
                 return

@@ -28,7 +28,7 @@ from icg.distance import (
 )
 from icg.errors import DomainError, ResourceLimitError
 from icg.extremal import saxena_family
-from icg.numtheory import factorize, proper_divisors
+from icg.numtheory import factorize, proper_divisors, valuation
 
 from bitmask_oracle import symbol_mask, vertex_levels
 
@@ -451,9 +451,32 @@ class TestOrderTable:
             assert distance_module.divisor_classes(f).signature == f.signature, n
 
     def test_proper_divisors(self):
-        for n in range(2, 301):
-            classes = distance_module.divisor_classes(factorize(n))
-            assert classes.proper_divisors == proper_divisors(n), n
+        # The table lists each divisor as p times the one a block below it.
+        # Its index must invert that list, each class index's mixed-radix
+        # digits (2 lowest, then the odd primes by ascending exponent, ties
+        # by prime) must be the valuations of its divisor, and its proper
+        # divisors must be the ascending ones: by trial division up to
+        # 3000, and as a product of prime powers above it.
+        for n in [*range(2, 3001), 2**40, 3**25, 2 * 3**2 * 5**2 * 7, 1099511627689]:
+            f = factorize(n)
+            classes = distance_module.divisor_classes(f)
+            if n <= 3000:
+                expected = proper_divisors(n)
+            else:
+                divisors = [1]
+                for p, a in f.factors:
+                    divisors = [d * p**e for d in divisors for e in range(a + 1)]
+                expected = tuple(sorted(divisors)[:-1])
+            assert classes.proper_divisors == expected, n
+            assert len(classes.index) == len(classes.divisors) == len(expected) + 1, n
+            assert all(classes.index[d] == i for i, d in enumerate(classes.divisors)), n
+            radix = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1], pa[0]))
+            for i, d in enumerate(classes.divisors):
+                digits = []
+                for p, a in radix:
+                    digits.append(i % (a + 1))
+                    i //= a + 1
+                assert digits == [valuation(p, d) for p, _ in radix], (n, d)
 
     @pytest.mark.parametrize("n", [2, 12, 1260, 2310, 1099511627689])
     def test_no_divisors_by_trial_division(self, monkeypatch, n):

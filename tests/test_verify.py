@@ -374,7 +374,7 @@ class TestWitnessRows:
             raise AssertionError("searched")
 
         monkeypatch.setattr(icg.verify, "class_diameter", refuse)
-        monkeypatch.setattr(DivisorClasses, "reach", refuse)
+        monkeypatch.setattr(DivisorClasses, "step", refuse)
         assert verify_order(91) == cold
         assert len(DivisorClasses(factorize(91)).witnesses) == 1
 
@@ -436,6 +436,43 @@ class TestWitnessRows:
         assert sum(map(len, tables.values())) == len(searches) == 339
         # A search per order made 55,078 BFS calls; the level cut saves some.
         assert len(bfs) == 51227
+
+    def test_search_fetches_each_step_row_once(self, monkeypatch):
+        # A search keeps the step rows it has fetched, by class index, and
+        # builds every node's row and every level's prefix row from them,
+        # so it asks the order table for each divisor's row at most once.
+        # The rows it ORs are unchanged, so the BFS calls are too.
+        searches = []
+        fetched = []
+        bfs = []
+        search, step = icg.verify._search, DivisorClasses.step
+
+        def count_searches(classes, order, k):
+            searches.append(len(order))
+            return search(classes, order, k)
+
+        def count_steps(self, d):
+            fetched.append((len(searches), d))
+            return step(self, d)
+
+        def count_bfs(row):
+            bfs.append(None)
+            return class_diameter(row)
+
+        monkeypatch.setattr(icg.verify, "_search", count_searches)
+        monkeypatch.setattr(DivisorClasses, "step", count_steps)
+        monkeypatch.setattr(icg.verify, "class_diameter", count_bfs)
+        for run in (lambda: verify_order(210), lambda: verify_order(2310), lambda: verify_range(2, 400)):
+            distance_module._exponent_table.cache_clear()
+            distance_module.divisor_classes.cache_clear()
+            searches.clear()
+            fetched.clear()
+            run()
+            assert searches and len(set(fetched)) == len(fetched) <= sum(searches)
+        distance_module._exponent_table.cache_clear()
+        bfs.clear()
+        verify_range(2, 1000)
+        assert len(bfs) == 7112
 
 
 class TestKnownCounterexamples:
