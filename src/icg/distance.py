@@ -31,19 +31,19 @@ each member and witness prime only through its class digits.
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
 orders: the one place that lists an order's divisors, by class index and
-ascending, and, on first read, the prime-support data of ``canonical``.
-The signature table, ``_exponent_table``, kept for the 128 most recent
-signatures, holds four maps: the step rows by class index, built from
-cached per-prime layers on first use; the class-BFS diameters that
-``verify`` has measured, keyed by the bitmask of their sets' class
-indices; ``verify``'s witness rows, keyed by an order's divisor order, the
-class indices of its proper divisors, ascending by value; and the
-closed-form verdicts of ``extremal``, keyed by the bitmask of the set's
-class indices (negated for the untouched-prime flags) or, at t = k, by
-the class indices of the members and of the witness's (divisor, prime)
-pairs.  Every entry is a function of the signature and its key alone, so
-a table is exact for every order of its signature.  An order table looks
-its signature table up on every read, so it never reads an evicted one.
+ascending, with its divisor order (the class indices of the proper
+divisors, ascending by value) and, on first read, the prime-support data
+of ``canonical``.  The signature table, ``_exponent_table``, kept for the
+128 most recent signatures, holds the step rows by class index, built
+from cached per-prime layers on first use; the per-size maxima of
+``verify`` and the sets reaching them; its witness rows, keyed by
+divisor order; and the verdicts of ``extremal``, keyed by the bitmask of
+the set's class indices (negated for the untouched-prime flags) or, at
+t = k, by the class indices of the members and of the witness's
+(divisor, prime) pairs.  Every entry is a function of the signature and
+its key alone, so a table is exact for every order of its signature.  An
+order table looks its signature table up on every read, so it never
+reads an evicted one.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -114,7 +114,7 @@ class DivisorClasses:
     Index 0 is the class 1 and the top index is the class n, i.e. vertex 0.
     A successor row maps each class index to the mask of classes one step
     away; the row of a divisor set is the elementwise OR of its members'
-    rows, ``reach``.  ``diameters`` and ``witnesses`` are the maps of n's
+    rows, ``reach``.  ``maxima`` and ``witnesses`` are the parts of n's
     signature table that ``verify`` reads and fills, ``verdicts`` the one
     that ``extremal`` reads and fills.
     """
@@ -136,13 +136,15 @@ class DivisorClasses:
         divisors.pop()  # n itself
         #: The proper divisors, ascending.
         self.proper_divisors = tuple(divisors)
+        #: The divisor order: the class indices of the proper divisors.
+        self.divisor_order = tuple(map(self.index.__getitem__, divisors))
         # The factors are already in signature order: 2 first, then the
         # odd exponents ascending.
         exponents = [a for _, a in self._factors]
         self.signature = Signature(exponents.pop(0) if f.n % 2 == 0 else 0, tuple(exponents))
 
     @property
-    def diameters(self) -> dict[int, int]:
+    def maxima(self) -> list[tuple[int, tuple[int, ...]]]:
         return _exponent_table(self.signature)[1]
 
     @property
@@ -214,11 +216,10 @@ def divisor_classes(f: Factorization) -> DivisorClasses:
 # Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
-def _exponent_table(signature: Signature) -> tuple[dict, dict, dict, dict]:
-    """The signature table: step rows, class-BFS diameters, witness rows
-    and closed-form verdicts.  A witness row holds, for each size t = 1..k,
-    the maximal diameter and its witness set as class indices."""
-    return {}, {}, {}, {}
+def _exponent_table(signature: Signature) -> tuple[dict, list, dict, dict]:
+    """The signature table: step rows, the per-size maxima and witness
+    rows of ``verify``, and closed-form verdicts."""
+    return {}, [], {}, {}
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND
@@ -264,7 +265,7 @@ def levels_from_zero(row) -> list[int]:
     while reached != full:
         nxt = 0
         rest = frontier
-        while rest:  # _bits inlined: this loop is the verify sweep's hot spot
+        while rest:  # _bits inlined: this loop is the BFS's hot spot
             low = rest & -rest
             nxt |= row[low.bit_length() - 1]
             rest ^= low

@@ -5,60 +5,28 @@ with at most k elements decide the maxima per cardinality and overall that
 are compared against the predictions.  Larger sets cannot change a record:
 adding a divisor only adds edges, and every connected set contains a
 minimal connected subset, whose divisors each have their own prime
-dividing all the others, so it has at most k elements.
+dividing all the others, so it has at most k elements.  An order with more
+than ``MAX_SUBSETS`` such sets is refused before any BFS, and a range that
+holds one is refused before any order is verified.
 
-The sets are searched depth first over the proper divisors, so each set
-comes before its extensions and the sets of one size come in lexicographic
-order.  Each connected set gets a BFS diameter, which bounds the diameter
-of every extension; the extensions are skipped when it is no more than the
-record of every larger size.  Every set of one level of the search extends
-the level's prefix, so the diameter of the prefix, or of its nearest
-connected ancestor when it is not connected, bounds them all, and the
-level returns once that bound is no more than the record of its size and
-of every larger one.  A skipped set cannot strictly improve a record, so
-each witness is still the first set, by size then lexicographically, to
-reach its maximum, as over the full power set.  An order with more than
-``MAX_SUBSETS`` sets of at most k elements is refused before any BFS,
-although the search runs a BFS on far fewer of them, and a range that
-holds such an order is refused before any order is searched.
+A set's class-BFS diameter depends only on the exponent signature and the
+class indices of its members (see ``icg.distance``), so the maxima are
+found once per signature, by one class BFS over all the sets at once: bit
+s of its ints stands for the s-th subset of the proper classes with 1..k
+members, by size then lexicographically by class index.  Per class it
+keeps the sets that have not reached the class and those that reached it
+last level; a level ORs the latter sets that hold a class i into each
+class that the step row of i takes the class to.  A set's diameter is the
+level at which it has reached every class, and a connected set that
+leaves a class unreached raises ``RuntimeError``.
 
-The search carries each set's class-index bitmask and reads its diameter
-from the signature table of ``icg.distance``; only a set that misses runs a
-BFS, and the table keeps the result for every later order of the
-signature.  The successor row that BFS reads is built lazily, from step
-rows that the search fetches from the order table once each: it keeps them
-in a list by class index, filled on a divisor's first use, because each
-fetch looks the signature table up again.  A set whose parent's row is
-known gets its row by one OR with the step row of its last divisor, read
-from that list, and a level of the search with no known row ORs its
-prefix's row from the list once, on its first miss.  With ``jobs`` above 1
-each pool worker fills its own tables, and each search its own list.
-
-The search reads the divisors only through their class indices, taken in
-ascending order of value: connectivity, rows, diameters, the floor below
-and the guard are all functions of the class digits.  So its result, each
-size's maximum and witness written as class indices, is a function of the
-signature and of the order's divisor order, and the signature table keeps
-one witness row per divisor order.  The search returns the row in the form
-the table stores, and every order maps its indices through its own
-divisors; an order whose row is stored runs no search: 2..3000 has 2,999
-orders but 339 divisor orders.  The guard runs before the lookup, so an
-order it refuses is refused whether its row is stored or not.
-
-The per-size maxima are a function of the signature alone, so every row
-of a signature holds the same ones.  A new divisor order of a known
-signature runs the search with the maxima of any stored row as a floor: a
-set's extensions are skipped when each larger size holds a record they
-cannot beat or has a known maximum above the set's diameter, and a level
-of the search stops once its size and every larger one hold a set at its
-known maximum.  Only the first set, by size then lexicographically, to
-reach a size's maximum can be its witness, and no skip passes over one,
-so the witnesses do not change.
-
-The rest of an order's work outside the search is read, not recomputed:
-the proper divisors and their class indices from the order table, the k + 1
-predictions from the signature's row (``extremal.prediction_row``), and
-the guard's subset count from a cache per number of divisors and sizes.
+The witness of a size, the first set by size then lexicographically in
+value order to reach its maximum, is a function of the signature and of
+the order's divisor order, the class indices of its proper divisors
+ascending by value.  So the signature table keeps one witness row per
+divisor order, and an order whose row is stored runs no BFS: 2..3000 has
+2,999 orders, 339 divisor orders and 99 signatures.  The guard runs before
+the lookup.  With ``jobs`` above 1 each pool worker fills its own tables.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -69,14 +37,15 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, class_diameter, divisor_classes, or_rows
+from .distance import DivisorClasses, _bits, divisor_classes
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
-from .numtheory import factorize
+from .numtheory import Factorization, factorize
 
 
 class Status(str, Enum):
@@ -116,12 +85,12 @@ def verify_order(n: int) -> list[VerificationRecord]:
     """One record per cardinality t = 1..k plus one overall record."""
     f = factorize(n)
     classes = divisor_classes(f)
-    subset_sizes(n, len(classes.proper_divisors), 1, f.k)
-    order = tuple(map(classes.index.__getitem__, classes.proper_divisors))  # the divisor order
+    order = classes.divisor_order
+    subset_sizes(n, len(order), 1, f.k)
     witnesses = classes.witnesses
     row = witnesses.get(order)
     if row is None:
-        row = witnesses[order] = _search(classes, order, f.k)
+        row = witnesses[order] = _witness_row(classes, f)
     divisor_of = classes.divisors.__getitem__
     best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
     predictions = prediction_row(classes.signature)
@@ -137,93 +106,114 @@ def verify_order(n: int) -> list[VerificationRecord]:
     return records
 
 
-def _search(
-    classes: DivisorClasses, order: tuple[int, ...], k: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _witness_row(classes: DivisorClasses, f: Factorization) -> tuple:
+    """For each size t = 1..k, the maximum and its witness as class indices
+    ascending by value, the row the signature table stores: each class, in
+    value order, that a set still in the running holds, keeping those sets."""
+    maxima = classes.maxima
+    if not maxima:
+        maxima += _maxima(classes, f)
+    row = []
+    for top, holders in maxima:
+        running, witness = -1, []
+        for c in classes.divisor_order:
+            held = running & holders[c]
+            if held:
+                running = held
+                witness.append(c)
+        row.append((top, tuple(witness)))
+    return tuple(row)
+
+
+def _maxima(classes: DivisorClasses, f: Factorization) -> list:
     """For each size t = 1..k, the maximal diameter of a connected set of t
-    proper divisors and the first such set, by size then lexicographically,
-    as class indices, like order: the row as the signature table stores it.
+    proper divisors and, for each proper class, the mask of the sets that
+    reach it and hold the class: bit j for the j-th such set, ascending.
+    One class BFS runs over all the sets at once."""
+    k = f.k
+    m = len(classes.divisor_order)  # class m is n, that is vertex 0
+    member = _members(m, k)
+    connected = -1
+    for p in f.primes:  # some member is prime to p
+        connected &= reduce(or_, [s for s, d in zip(member, classes.divisors) if d % p])
+    steps = []  # (the connected sets that hold class i, the step row of i)
+    for held, d in zip(member, classes.divisors):
+        held &= connected
+        if held:
+            steps.append((held, classes.step(d)))
+    sizes = []  # the mask of the sets of each size
+    start = 0
+    for t in range(1, k + 1):
+        width = math.comb(m, t)
+        sizes.append((1 << width) - 1 << start)
+        start += width
+    frontier = {m: connected}  # class -> the sets that reached it last level
+    unreached = [connected] * m + [0]
+    pending = connected  # the sets that have not reached every class
+    best = [(0, 0)] * k  # per size: the last level that completed a set, and those sets
+    level = 0
+    while pending:
+        level += 1
+        nxt = [0] * (m + 1)
+        for c, sets in frontier.items():
+            sets &= pending
+            if not sets:
+                continue
+            for held, row in steps:
+                x = sets & held
+                if x:
+                    r = row[c]
+                    while r:
+                        low = r & -r
+                        nxt[low.bit_length() - 1] |= x
+                        r ^= low
+        frontier = {}
+        for c, x in enumerate(nxt):
+            x &= unreached[c]
+            if x:
+                frontier[c] = x
+                unreached[c] ^= x
+        if not frontier:
+            break
+        done = pending
+        pending = reduce(or_, unreached)
+        done ^= pending  # the sets whose last classes this level reached
+        for t, size in enumerate(sizes):
+            if done & size:
+                best[t] = (level, done & size)
+    if pending:
+        s = (pending & -pending).bit_length() - 1
+        node = tuple(d for d, held in zip(classes.divisors, member) if held >> s & 1)
+        raise RuntimeError(f"n={f.n}: connected set {node} left classes unreached")
+    maxima = []
+    for top, sets in best:
+        bit = {s: 1 << j for j, s in enumerate(_bits(sets))}
+        maxima.append((top, tuple(sum(map(bit.get, _bits(held & sets))) for held in member)))
+    return maxima
 
-    Every row it ORs, a node's or a level's prefix's, is built from the
-    list ``steps``, which holds each divisor's step row by class index once
-    ``classes.step`` has fetched it, on its first use in this search."""
-    divisors = classes.proper_divisors
-    divisor_of = classes.divisors.__getitem__
-    diameters = classes.diameters
-    known = next(iter(classes.witnesses.values()), None)
-    # floor[t] is the known maximum of size t, 0 while it is unknown.
-    floor = (0, *(m for m, _ in known)) if known else (0,) * (k + 1)
-    best = [(0, ())] * (k + 1)  # t -> (max diam, witness), (0, ()) before any set
-    # bar[t]: no set of size t with diameter <= bar[t] is the first to reach its maximum.
-    bar = [m - 1 for m in floor]
-    done = k + 1  # every size from done to k holds a set at its known maximum
-    bits = [1 << i for i in order]
-    steps = [None] * len(classes.divisors)
 
-    def step(c: int) -> tuple[int, ...]:
-        row = steps[c]
-        if row is None:
-            row = steps[c] = classes.step(divisor_of(c))
-        return row
-
-    def extend(
-        prefix: tuple[int, ...],
-        prefix_gcd: int,
-        prefix_mask: int,
-        prefix_row: list[int] | None,
-        start: int,
-        cap: int,
-    ) -> None:
-        """Visit each set prefix + (order[i],) with i from start, then its
-        extensions; prefix holds class indices, prefix_mask has them set,
-        prefix_row is its successor row, or None until a set here misses
-        the signature's diameters, and cap bounds the diameter of every set
-        here: that of prefix's nearest connected ancestor, prefix included."""
-        nonlocal done
-        size = len(prefix) + 1
-        for i in range(start, len(divisors)):
-            if size >= done:
-                return  # these sets and their extensions cannot change a record
-            node_gcd = math.gcd(prefix_gcd, divisors[i])
-            if node_gcd != 1 and size == k:
-                continue  # no BFS and no extensions: its row is never read
-            node = prefix + (order[i],)
-            mask = prefix_mask | bits[i]
-            row = None
-            if node_gcd == 1:
-                diam = diameters.get(mask)
-                if diam is None:
-                    if prefix_row is None:
-                        prefix_row = or_rows([0] * len(steps), map(step, prefix))
-                    row = list(map(or_, prefix_row, step(order[i])))
-                    diam = class_diameter(row)
-                    if diam is None:
-                        n, node = classes.divisors[-1], tuple(map(divisor_of, node))
-                        raise RuntimeError(f"n={n}: connected set {node} left classes unreached")
-                    diameters[mask] = diam
-                if diam > best[size][0]:
-                    best[size] = (diam, node)
-                    bar[size] = max(diam, bar[size])
-                    if diam == floor[size]:
-                        while done > 1 and best[done - 1][0] == floor[done - 1]:
-                            done -= 1
-                    # The level cut, tested on bar[size] alone before the
-                    # slice, which costs when taken on most visits.
-                    if cap <= bar[size] and cap <= min(bar[size:]):
-                        return  # no later set here can beat a record or reach a maximum
-                # Every extension has diameter <= diam: none can beat a
-                # record or reach a known maximum above diam.
-                if size == k or diam <= min(bar[size + 1 :]):
-                    continue
-            if row is None and prefix_row is not None:
-                row = list(map(or_, prefix_row, step(order[i])))
-            extend(node, node_gcd, mask, row, i + 1, diam if node_gcd == 1 else cap)
-            if cap <= bar[size] and cap <= min(bar[size:]):
-                return
-
-    # No diameter reaches the number of classes.
-    extend((), 0, 0, None, 0, len(classes.divisors))
-    return tuple(best[1:])
+@lru_cache(maxsize=4)  # tau(n) = 180 at k = 3 takes about 16 MB
+def _members(m: int, k: int) -> tuple[int, ...]:
+    """For each c < m, the mask of the subsets of range(m) with 1..k members
+    that hold c, bit s for the s-th subset by size then lexicographically.
+    The t-subsets with least member f form one block, whose members past f
+    run over the (t - 1)-subsets above f: a suffix of those, in order."""
+    member = [1 << c for c in range(m)]
+    held = member[:]  # the same for the (t - 1)-subsets, in their own bits
+    low = m  # the bit of the first t-subset
+    for t in range(2, k + 1):
+        suffix = [math.comb(m, t - 1) - math.comb(m - f, t - 1) for f in range(m + 1)]
+        block = [math.comb(m, t) - math.comb(m - f, t) for f in range(m + 1)]
+        grown = []
+        for c in range(m):
+            x = (1 << block[c + 1]) - (1 << block[c])
+            for f in range(c):
+                x |= held[c] >> suffix[f + 1] << block[f]
+            member[c] |= x << low
+            grown.append(x if t < k else 0)  # kept only for the next size
+        held = grown
+        low += block[m]
+    return tuple(member)
 
 
 class RangeReport(NamedTuple):
@@ -267,7 +257,7 @@ def verify_range(
 ) -> RangeReport:
     """Verify every order in [n_lo, n_hi]; deterministic regardless of jobs.
 
-    Raises ResourceLimitError, before searching any order or starting a
+    Raises ResourceLimitError, before verifying any order or starting a
     pool, when ``subset_sizes`` refuses some order of the range.  With one
     worker, or one order, the orders run in a plain loop in this process.
     With more than one worker they run in a process pool, which is
@@ -276,7 +266,7 @@ def verify_range(
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
     orders = range(n_lo, n_hi + 1)
-    if len(orders) > 1:  # verify_order checks a lone order before its search
+    if len(orders) > 1:  # verify_order checks a lone order before its BFS
         for n in orders:
             f = factorize(n)  # n has tau(n) - 1 proper divisors
             subset_sizes(n, math.prod(a + 1 for a in f.exponents) - 1, 1, f.k)

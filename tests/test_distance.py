@@ -361,7 +361,7 @@ class TestShapeTable:
         for i in range(len(rows[0].divisors)):
             steps = {id(c.step(c.divisors[i])) for c in rows}
             assert len(steps) == 1, i
-        assert rows[0].diameters is rows[3].diameters
+        assert rows[0].maxima is rows[3].maxima
 
     def test_orders_of_one_signature_share_a_table(self):
         # 90 = 2 3^2 5 and 150 = 2 3 5^2, and 45 = 3^2 5 and 75 = 3 5^2,
@@ -369,7 +369,7 @@ class TestShapeTable:
         # undoes: the prime of exponent 2 takes the higher digit.
         for pair in ((90, 150), (45, 75)):
             a, b = (DivisorClasses(factorize(n)) for n in pair)
-            assert a.diameters is b.diameters and a.witnesses is b.witnesses, pair
+            assert a.maxima is b.maxima and a.witnesses is b.witnesses, pair
             for i in range(len(a.divisors)):
                 assert a.step(a.divisors[i]) is b.step(b.divisors[i]), (pair, i)
         assert DivisorClasses(factorize(90)).divisors[:6] == (1, 2, 5, 10, 3, 6)
@@ -378,7 +378,7 @@ class TestShapeTable:
         # 6 = 2 * 3 and 15 = 3 * 5 have the same exponents, but adding two
         # odd symbols of 6 never gives an odd vertex.
         six, fifteen = DivisorClasses(factorize(6)), DivisorClasses(factorize(15))
-        assert six.diameters is not fifteen.diameters and six.witnesses is not fifteen.witnesses
+        assert six.maxima is not fifteen.maxima and six.witnesses is not fifteen.witnesses
         assert six.step(1) != fifteen.step(1)
 
 
@@ -433,11 +433,11 @@ class TestOrderTable:
         # signature tables are cleared, it reads the new one.
         f = factorize(60)
         classes = distance_module.divisor_classes(f)
-        stale = classes.diameters, classes.witnesses, classes.step(1), classes.verdicts
+        stale = classes.maxima, classes.witnesses, classes.step(1), classes.verdicts
         distance_module._exponent_table.cache_clear()
         assert distance_module.divisor_classes(f) is classes
-        steps, diameters, witnesses, verdicts = distance_module._exponent_table(f.signature)
-        assert classes.diameters is diameters is not stale[0]
+        steps, maxima, witnesses, verdicts = distance_module._exponent_table(f.signature)
+        assert classes.maxima is maxima is not stale[0]
         assert classes.witnesses is witnesses is not stale[1]
         assert classes.verdicts is verdicts is not stale[3]
         assert not steps and classes.step(1) == stale[2] and 0 in steps
@@ -456,7 +456,8 @@ class TestOrderTable:
         # digits (2 lowest, then the odd primes by ascending exponent, ties
         # by prime) must be the valuations of its divisor, and its proper
         # divisors must be the ascending ones: by trial division up to
-        # 3000, and as a product of prime powers above it.
+        # 3000, and as a product of prime powers above it.  The divisor
+        # order must list their class indices in that order.
         for n in [*range(2, 3001), 2**40, 3**25, 2 * 3**2 * 5**2 * 7, 1099511627689]:
             f = factorize(n)
             classes = distance_module.divisor_classes(f)
@@ -468,6 +469,7 @@ class TestOrderTable:
                     divisors = [d * p**e for d in divisors for e in range(a + 1)]
                 expected = tuple(sorted(divisors)[:-1])
             assert classes.proper_divisors == expected, n
+            assert tuple(classes.divisors[i] for i in classes.divisor_order) == expected, n
             assert len(classes.index) == len(classes.divisors) == len(expected) + 1, n
             assert all(classes.index[d] == i for i, d in enumerate(classes.divisors)), n
             radix = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1], pa[0]))

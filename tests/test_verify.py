@@ -6,7 +6,9 @@ import importlib
 import json
 import math
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -78,6 +80,13 @@ def flat_records(n):
     ]
 
 
+def batch_sets(holders):
+    """The class sets, ascending, that reach a size's maximum, from the
+    masks of the sets holding each class that the signature table keeps."""
+    count = reduce(or_, holders).bit_length()
+    return [tuple(c for c, held in enumerate(holders) if held >> j & 1) for j in range(count)]
+
+
 def record_rows(records):
     return [
         (r.t, r.predicted.value, r.observed_max, r.witness_set, r.status.value) for r in records
@@ -129,6 +138,9 @@ class TestVerifyOrder:
 
 
 class TestPrunedSearch:
+    """verify_order gives the records of the flat loop: a BFS on every
+    connected set with at most k divisors, by size, then lexicographically."""
+
     def test_matches_flat_loop(self):
         for n in range(2, 401):
             assert record_rows(verify_order(n)) == flat_records(n), n
@@ -165,82 +177,11 @@ class TestPrunedSearch:
         # prediction by one, as the orders 2 p^a q up to 1000 do.
         assert record_rows(verify_order(n)) == expected
 
-    def test_bfs_reads_the_row_of_its_set(self, monkeypatch):
-        # Each BFS gets the row its set's DFS ancestors built up, which
-        # must be the set's own row; the sets searched are those of the
-        # pruned search, rebuilt here from rows made per set.  Each order
-        # is searched cold, then floored by the maxima of a witness row
-        # stored under another divisor order of its signature.  Both
-        # searches start from a table with no diameters, so that no
-        # diameter saves a BFS.
-        received = []
-
-        def spy(row):
-            received.append(list(row))
-            return class_diameter(row)
-
-        monkeypatch.setattr(icg.verify, "class_diameter", spy)
-        for n in range(2, 401):
-            f = factorize(n)
-            classes = DivisorClasses(f)
-            divs = proper_divisors(n)
-
-            def search(floor):
-                """The rows of the sets a search with known maxima floor
-                (t -> max, empty when cold) runs a BFS on, and its maxima."""
-                expected = []
-                best = {}
-
-                def settled(diam, size):
-                    """No set of size or more below diam can be the first
-                    to reach its size's maximum."""
-                    return all(
-                        diam <= best.get(s, 0) or diam < floor.get(s, 0)
-                        for s in range(size, f.k + 1)
-                    )
-
-                def extend(prefix, start, cap):
-                    # cap: the diameter of prefix's nearest connected ancestor.
-                    for i in range(start, len(divs)):
-                        if floor and all(
-                            best.get(s) == floor[s] for s in range(len(prefix) + 1, f.k + 1)
-                        ):
-                            return
-                        node = prefix + (divs[i],)
-                        diam = cap
-                        if math.gcd(*node) == 1:
-                            row = classes.reach(node)
-                            expected.append(row)
-                            diam = class_diameter(row)
-                            if diam > best.get(len(node), 0):
-                                best[len(node)] = diam
-                                if settled(cap, len(node)):
-                                    return
-                            if settled(diam, len(node) + 1):
-                                continue
-                        if len(node) < f.k:
-                            extend(node, i + 1, diam)
-                            if settled(cap, len(node)):
-                                return
-
-                extend((), 0, math.inf)
-                return expected, best
-
-            cold, maxima = search({})
-            warm, _ = search(maxima)
-            for known, expected in (({}, cold), (maxima, warm)):
-                received.clear()
-                distance_module._exponent_table.cache_clear()
-                if known:  # no order's proper divisors are an empty key
-                    DivisorClasses(f).witnesses[()] = tuple((known[t], ()) for t in sorted(known))
-                verify_order(n)
-                assert received == expected, n
-
     def test_guard_refuses_before_any_bfs(self, monkeypatch):
         # 20790 = 2 3^3 5 7 11 has 63 proper divisors, hence 7,666,239
         # sets with at most k = 5 of them.
         calls = []
-        monkeypatch.setattr(icg.verify, "class_diameter", lambda *args: calls.append(args))
+        monkeypatch.setattr(icg.verify, "_maxima", lambda *args: calls.append(args))
         with pytest.raises(ResourceLimitError) as exc:
             verify_order(20790)
         assert str(exc.value) == (
@@ -249,16 +190,77 @@ class TestPrunedSearch:
         assert calls == []
 
 
+class TestClassBatch:
+    """The per-size maxima come from one bit-sliced class BFS per signature
+    over every subset of the proper classes with at most k members."""
+
+    def test_member_masks_follow_the_subset_order(self):
+        for m in range(1, 10):
+            for k in range(1, 5):
+                subsets = [s for t in range(1, k + 1) for s in combinations(range(m), t)]
+                member = icg.verify._members(m, k)
+                assert len(member) == m
+                for c, held in enumerate(member):
+                    assert held == sum(1 << i for i, s in enumerate(subsets) if c in s), (m, k, c)
+
+    def test_maxima_match_brute_force(self):
+        # Each size's maximum and every class set that reaches it, against
+        # a BFS on each connected t-set of proper classes.
+        for n in range(2, 401):
+            f = factorize(n)
+            classes = DivisorClasses(f)
+            m = len(classes.divisors) - 1
+            expected = []
+            for t in range(1, f.k + 1):
+                diameters = {}
+                for s in combinations(range(m), t):
+                    divisors = [classes.divisors[c] for c in s]
+                    if math.gcd(*divisors) == 1:
+                        diameters[s] = class_diameter(classes.reach(divisors))
+                top = max(diameters.values())
+                expected.append((top, sorted(s for s, d in diameters.items() if d == top)))
+            found = [(top, batch_sets(holders)) for top, holders in icg.verify._maxima(classes, f)]
+            assert found == expected, n
+
+    def test_batch_fetches_each_step_row_once(self, monkeypatch):
+        # One fetch per class that some connected set holds: with k = 1
+        # only the class of 1, otherwise every proper class.
+        fetched = []
+        step = DivisorClasses.step
+
+        def count_steps(self, d):
+            fetched.append(d)
+            return step(self, d)
+
+        monkeypatch.setattr(DivisorClasses, "step", count_steps)
+        for n in (16, 210, 2310):
+            distance_module._exponent_table.cache_clear()
+            fetched.clear()
+            verify_order(n)
+            f = factorize(n)
+            assert fetched == ([1] if f.k == 1 else list(DivisorClasses(f).divisors[:-1])), n
+        distance_module._exponent_table.cache_clear()
+
+    def test_unreached_class_raises(self, monkeypatch):
+        # A step row that takes no class anywhere leaves {1} at vertex 0.
+        step = DivisorClasses.step
+        monkeypatch.setattr(
+            DivisorClasses, "step", lambda self, d: (0,) * len(self.divisors) if d == 1 else step(self, d)
+        )
+        distance_module._exponent_table.cache_clear()
+        with pytest.raises(RuntimeError, match=r"^n=30: connected set \(1,\) left classes unreached$"):
+            verify_order(30)
+        distance_module._exponent_table.cache_clear()
+
+
 class TestSignatureMaxima:
-    """verify_order floors the search of a new divisor order with the
-    per-size maxima of a witness row that the table of its order's exponent
-    signature holds: a stored maximum that is too low could end a search
-    early unnoticed."""
+    """Every order of a signature gets the same per-size maxima, kept once
+    in the signature's table, whichever of its orders fills it."""
 
     def test_orders_of_a_signature_share_maxima(self):
         maxima = {}
         for n in range(2, 1001):
-            distance_module._exponent_table.cache_clear()  # search every order cold
+            distance_module._exponent_table.cache_clear()  # verify every order cold
             observed = tuple(r.observed_max for r in verify_order(n) if r.t is not None)
             exponents = dict(factorize(n).factors)
             signature = exponents.pop(2, 0), tuple(sorted(exponents.values()))
@@ -278,75 +280,8 @@ class TestSignatureMaxima:
 
 
 class TestShapeTable:
-    """verify_order reads each set's diameter from the table of its
-    order's signature before it runs a BFS."""
-
-    def test_served_diameters_are_exact(self, monkeypatch):
-        distance_module._exponent_table.cache_clear()
-        served = []
-
-        class Checked:
-            """The signature's diameters, checking each one served against a
-            fresh BFS on the set in the order being searched."""
-
-            def __init__(self, classes, table):
-                self.classes = classes
-                self.table = table
-
-            def get(self, mask):
-                diam = self.table.get(mask)
-                if diam is not None:
-                    node = [d for i, d in enumerate(self.classes.divisors) if mask >> i & 1]
-                    assert diam == class_diameter(self.classes.reach(node)), node
-                    served.append(self.classes.divisors[-1])
-                return diam
-
-            def __setitem__(self, mask, diam):
-                self.table[mask] = diam
-
-        class CheckedClasses(DivisorClasses):
-            @property
-            def diameters(self):
-                return Checked(self, super().diameters)
-
-            @property
-            def witnesses(self):
-                return {}  # no stored row: every order searches
-
-        monkeypatch.setattr(distance_module, "DivisorClasses", CheckedClasses)
-        distance_module.divisor_classes.cache_clear()
-        try:
-            for n in range(2, 401):
-                verify_order(n)
-        finally:
-            distance_module.divisor_classes.cache_clear()
-        # Most orders share their signature with an earlier one.
-        assert len(served) > 2000 and len(set(served)) > 300
-
-    def test_second_order_of_a_shape_skips_measured_sets(self, monkeypatch):
-        # 60 = 4 * 3 * 5 and 84 = 4 * 3 * 7 share a signature but not
-        # a divisor order.  Both are searched without a stored witness row.
-        distance_module._exponent_table.cache_clear()
-        received = []
-
-        def spy(row):
-            received.append(row)
-            return class_diameter(row)
-
-        monkeypatch.setattr(icg.verify, "class_diameter", spy)
-        verify_order(84)
-        cold = len(received)
-        distance_module._exponent_table.cache_clear()
-        verify_order(60)
-        classes = DivisorClasses(factorize(60))
-        table = classes.diameters
-        measured = set(table)
-        assert len(measured) == len(received) - cold
-        received.clear()
-        classes.witnesses.clear()
-        verify_order(84)
-        # Each BFS stores its set, so every BFS was on a set new to the table.
-        assert len(received) == len(set(table) - measured) < cold
+    """The records do not depend on which order of a signature fills its
+    table first."""
 
     def test_shuffled_cold_sweep_matches_pin(self):
         distance_module._exponent_table.cache_clear()
@@ -358,10 +293,10 @@ class TestShapeTable:
 
 
 class TestWitnessRows:
-    """A search reads the divisors only through their class indices in
-    ascending order of value, so verify_order keeps one witness row per
-    signature and divisor order, and an order whose row is stored runs no
-    search."""
+    """A witness is read off the maxima through its order's divisor order,
+    the class indices of its proper divisors ascending by value, so
+    verify_order keeps one witness row per signature and divisor order,
+    and an order whose row is stored runs no BFS."""
 
     def test_orders_of_one_row_skip_the_search(self, monkeypatch):
         # 77 = 7 * 11 and 91 = 7 * 13 list their classes in one order.
@@ -373,7 +308,8 @@ class TestWitnessRows:
         def refuse(*args):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(icg.verify, "class_diameter", refuse)
+        monkeypatch.setattr(icg.verify, "_maxima", refuse)
+        monkeypatch.setattr(icg.verify, "_witness_row", refuse)
         monkeypatch.setattr(DivisorClasses, "step", refuse)
         assert verify_order(91) == cold
         assert len(DivisorClasses(factorize(91)).witnesses) == 1
@@ -399,7 +335,8 @@ class TestWitnessRows:
         classes = DivisorClasses(f)
         assert classes.divisors[:6] == (1, 2, 5, 10, 3, 6)
         ((order, row),) = classes.witnesses.items()
-        assert icg.verify._search(classes, order, f.k) == row
+        assert order == classes.divisor_order
+        assert icg.verify._witness_row(classes, f) == row
         witnesses = [tuple(classes.divisors[i] for i in w) for _, w in row]
         assert witnesses == [r.witness_set for r in records[:-1]]
 
@@ -415,64 +352,27 @@ class TestWitnessRows:
         distance_module._exponent_table.cache_clear()
 
     def test_cold_sweep_to_3000_searches_once_per_row(self, monkeypatch):
-        # 2,999 orders, 99 signatures and 339 divisor orders.
-        searches = []
-        bfs = []
-        search = icg.verify._search
+        # 2,999 orders, 99 signatures and 339 divisor orders: one batch per
+        # signature and one witness row per divisor order.
+        batches = []
+        rows = []
+        maxima, witness_row = icg.verify._maxima, icg.verify._witness_row
 
-        def count_searches(*args):
-            searches.append(args)
-            return search(*args)
+        def count_batches(*args):
+            batches.append(args)
+            return maxima(*args)
 
-        def count_bfs(row):
-            bfs.append(None)
-            return class_diameter(row)
+        def count_rows(*args):
+            rows.append(args)
+            return witness_row(*args)
 
-        monkeypatch.setattr(icg.verify, "_search", count_searches)
-        monkeypatch.setattr(icg.verify, "class_diameter", count_bfs)
+        monkeypatch.setattr(icg.verify, "_maxima", count_batches)
+        monkeypatch.setattr(icg.verify, "_witness_row", count_rows)
         distance_module._exponent_table.cache_clear()
         verify_range(2, 3000)
         tables = {id(t): t for t in (DivisorClasses(factorize(n)).witnesses for n in range(2, 3001))}
-        assert sum(map(len, tables.values())) == len(searches) == 339
-        # A search per order made 55,078 BFS calls; the level cut saves some.
-        assert len(bfs) == 51227
-
-    def test_search_fetches_each_step_row_once(self, monkeypatch):
-        # A search keeps the step rows it has fetched, by class index, and
-        # builds every node's row and every level's prefix row from them,
-        # so it asks the order table for each divisor's row at most once.
-        # The rows it ORs are unchanged, so the BFS calls are too.
-        searches = []
-        fetched = []
-        bfs = []
-        search, step = icg.verify._search, DivisorClasses.step
-
-        def count_searches(classes, order, k):
-            searches.append(len(order))
-            return search(classes, order, k)
-
-        def count_steps(self, d):
-            fetched.append((len(searches), d))
-            return step(self, d)
-
-        def count_bfs(row):
-            bfs.append(None)
-            return class_diameter(row)
-
-        monkeypatch.setattr(icg.verify, "_search", count_searches)
-        monkeypatch.setattr(DivisorClasses, "step", count_steps)
-        monkeypatch.setattr(icg.verify, "class_diameter", count_bfs)
-        for run in (lambda: verify_order(210), lambda: verify_order(2310), lambda: verify_range(2, 400)):
-            distance_module._exponent_table.cache_clear()
-            distance_module.divisor_classes.cache_clear()
-            searches.clear()
-            fetched.clear()
-            run()
-            assert searches and len(set(fetched)) == len(fetched) <= sum(searches)
-        distance_module._exponent_table.cache_clear()
-        bfs.clear()
-        verify_range(2, 1000)
-        assert len(bfs) == 7112
+        assert sum(map(len, tables.values())) == len(rows) == 339
+        assert len(batches) == 99
 
 
 class TestKnownCounterexamples:
@@ -636,9 +536,9 @@ class TestVerifyRange:
         report = verify_range(269, 272, fail_fast=True)
         assert [r.n for r in report.records][-1] == 270
         assert verify_range(269, 272).records[-1].n == 272
-        # A lone refused order is refused by verify_order before its search.
+        # A lone refused order is refused by verify_order before its BFS.
         searched = []
-        monkeypatch.setattr(icg.verify, "_search", lambda *args: searched.append(args))
+        monkeypatch.setattr(icg.verify, "_maxima", lambda *args: searched.append(args))
         with pytest.raises(ResourceLimitError, match="n=4620 has 1729647"):
             verify_range(4620, 4620)
         assert searched == [] and pool_sizes == []
