@@ -30,14 +30,16 @@ each member and witness prime only through its class digits.
 
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
-orders: the one place that lists an order's divisors, by class index and
-ascending, with its divisor order (the class indices of the proper
-divisors, ascending by value) and, on first read, the prime-support data
-of ``canonical``.  The signature table, ``_exponent_table``, kept for the
-128 most recent signatures, holds the step rows by class index, built
-from cached per-prime layers on first use; the per-size maxima of
-``verify`` and the sets reaching them; its witness rows, keyed by
-divisor order; and the verdicts of ``extremal``, keyed by the bitmask of
+orders: the one place that lists an order's divisors.  It builds at once
+only what ``verify_order`` reads: the divisors by class index, the
+divisor order (the class indices of the proper divisors, ascending by
+value) and the signature.  The divisor-to-index map, the ascending
+proper divisors and the prime-support data of ``canonical`` are built on
+first read.  The signature table, ``_exponent_table``, kept for the 128
+most recent signatures, holds the step rows by class index, built from
+cached per-prime layers on first use; the per-size maxima of ``verify``
+and the sets reaching them; its finished record rows, keyed by divisor
+order; and the verdicts of ``extremal``, keyed by the bitmask of
 the set's class indices (negated for the untouched-prime flags) or, at
 t = k, by the class indices of the members and of the witness's
 (divisor, prime) pairs.  Every entry is a function of the signature and
@@ -114,9 +116,15 @@ class DivisorClasses:
     Index 0 is the class 1 and the top index is the class n, i.e. vertex 0.
     A successor row maps each class index to the mask of classes one step
     away; the row of a divisor set is the elementwise OR of its members'
-    rows, ``reach``.  ``maxima`` and ``witnesses`` are the parts of n's
-    signature table that ``verify`` reads and fills, ``verdicts`` the one
-    that ``extremal`` reads and fills.
+    rows, ``reach``; ``row(i)`` is the step row of class index i.
+
+    ``divisors``, ``divisor_order`` and ``signature`` are built with the
+    table, and they are all that ``verify_order`` reads of it.  ``index``,
+    ``proper_divisors`` and the prime-support data of ``canonical`` are
+    built on first read, see ``__getattr__``.  ``maxima`` and
+    ``witnesses`` are the parts of n's signature table that ``verify``
+    reads and fills (``witnesses`` maps each divisor order to its finished
+    record row), ``verdicts`` the one that ``extremal`` reads and fills.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -131,13 +139,9 @@ class DivisorClasses:
                 divisors.append(divisors[i] * p)
         #: divisors[i] is the divisor of class index i.
         self.divisors = tuple(divisors)
-        self.index = dict(zip(divisors, range(len(divisors))))
-        divisors.sort()
-        divisors.pop()  # n itself
-        #: The proper divisors, ascending.
-        self.proper_divisors = tuple(divisors)
-        #: The divisor order: the class indices of the proper divisors.
-        self.divisor_order = tuple(map(self.index.__getitem__, divisors))
+        #: The divisor order: the class indices of the proper divisors,
+        #: ascending by value.  The top index, the class n, is the largest.
+        self.divisor_order = tuple(sorted(range(len(divisors) - 1), key=divisors.__getitem__))
         # The factors are already in signature order: 2 first, then the
         # odd exponents ascending.
         exponents = [a for _, a in self._factors]
@@ -156,32 +160,40 @@ class DivisorClasses:
         return _exponent_table(self.signature)[3]
 
     def __getattr__(self, name: str):
-        """Builds the prime-support data of ``canonical`` on the first read
-        of any of it: ``masks`` maps each divisor of n, n included, to its
-        mask, with bit i set when the i-th prime of n, ascending, divides
-        it, and ``mask_primes`` and ``buckets`` hold the primes and the
-        proper divisors of each mask, ascending."""
-        if name not in ("masks", "mask_primes", "buckets"):
+        """Builds the parts of the table that ``verify_order`` never reads,
+        each on its first read.  ``index`` maps each divisor of n to its
+        class index, and ``proper_divisors`` lists the proper divisors
+        ascending.  The prime-support data of ``canonical`` is built as one
+        group: ``masks`` maps each divisor of n, n included, to its mask,
+        with bit i set when the i-th prime of n, ascending, divides it, and
+        ``mask_primes`` and ``buckets`` hold the primes and the proper
+        divisors of each mask, ascending."""
+        if name == "index":
+            self.index = dict(zip(self.divisors, range(len(self.divisors))))
+        elif name == "proper_divisors":
+            self.proper_divisors = tuple(map(self.divisors.__getitem__, self.divisor_order))
+        elif name in ("masks", "mask_primes", "buckets"):
+            primes = sorted(p for p, _ in self._factors)
+            masks = [0]
+            for p, a in self._factors:
+                bit = 1 << primes.index(p)
+                masks += [m | bit for m in masks] * a
+            self.masks = mask = dict(zip(self.divisors, masks))
+            mask_primes: list[tuple[int, ...]] = [()]
+            for p in primes:
+                mask_primes += [ps + (p,) for ps in mask_primes]
+            self.mask_primes = tuple(mask_primes)
+            buckets: list[list[int]] = [[] for _ in mask_primes]
+            for d in self.proper_divisors:
+                buckets[mask[d]].append(d)
+            self.buckets = tuple(map(tuple, buckets))
+        else:
             raise AttributeError(name)
-        primes = sorted(p for p, _ in self._factors)
-        masks = [0]
-        for p, a in self._factors:
-            bit = 1 << primes.index(p)
-            masks += [m | bit for m in masks] * a
-        self.masks = mask = dict(zip(self.divisors, masks))
-        mask_primes: list[tuple[int, ...]] = [()]
-        for p in primes:
-            mask_primes += [ps + (p,) for ps in mask_primes]
-        self.mask_primes = tuple(mask_primes)
-        buckets: list[list[int]] = [[] for _ in mask_primes]
-        for d in self.proper_divisors:
-            buckets[mask[d]].append(d)
-        self.buckets = tuple(map(tuple, buckets))
         return getattr(self, name)
 
-    def step(self, d: int) -> tuple[int, ...]:
+    def row(self, i: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
-        of class d to a vertex of that class can reach.
+        of class index i to a vertex of that class can reach.
 
         The reachable classes are a product over primes of the valuations
         the sum can take, so the row is the outer product of one layer per
@@ -190,7 +202,6 @@ class DivisorClasses:
         stride_p, so each product with a layer mask is a union of shifted
         copies.
         """
-        i = self.index[d]
         steps = _exponent_table(self.signature)[0]
         row = steps.get(i)
         if row is None:
@@ -200,6 +211,10 @@ class DivisorClasses:
                 row = [m * mask for mask in layer for m in row]
             row = steps[i] = tuple(row)
         return row
+
+    def step(self, d: int) -> tuple[int, ...]:
+        """The step row of the class of the divisor d: ``row(index[d])``."""
+        return self.row(self.index[d])
 
     def reach(self, divisors) -> list[int]:
         """The successor row of the divisor set: for each class index, the
@@ -217,7 +232,7 @@ def divisor_classes(f: Factorization) -> DivisorClasses:
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
 def _exponent_table(signature: Signature) -> tuple[dict, list, dict, dict]:
-    """The signature table: step rows, the per-size maxima and witness
+    """The signature table: step rows, the per-size maxima and record
     rows of ``verify``, and closed-form verdicts."""
     return {}, [], {}, {}
 

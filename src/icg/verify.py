@@ -23,10 +23,13 @@ leaves a class unreached raises ``RuntimeError``.
 The witness of a size, the first set by size then lexicographically in
 value order to reach its maximum, is a function of the signature and of
 the order's divisor order, the class indices of its proper divisors
-ascending by value.  So the signature table keeps one witness row per
-divisor order, and an order whose row is stored runs no BFS: 2..3000 has
-2,999 orders, 339 divisor orders and 99 signatures.  The guard runs before
-the lookup.  With ``jobs`` above 1 each pool worker fills its own tables.
+ascending by value, and so are the predictions and each record's status.
+So the signature table keeps one record row per divisor order, the
+order's records with the witnesses as class indices, built the first time
+the divisor order is seen.  An order whose row is stored runs no BFS and
+no prediction: it maps its witnesses to divisors.  2..3000 has 2,999
+orders, 339 divisor orders and 99 signatures.  The guard runs before the
+lookup.  With ``jobs`` above 1 each pool worker fills its own tables.
 
 Mismatches are first-class records, not assertion failures: the whole
 sweep completes, and the caller decides the exit status.
@@ -87,33 +90,28 @@ def verify_order(n: int) -> list[VerificationRecord]:
     classes = divisor_classes(f)
     order = classes.divisor_order
     subset_sizes(n, len(order), 1, f.k)
-    witnesses = classes.witnesses
-    row = witnesses.get(order)
+    rows = classes.witnesses
+    row = rows.get(order)
     if row is None:
-        row = witnesses[order] = _witness_row(classes, f)
+        row = rows[order] = _record_row(classes, f)
     divisor_of = classes.divisors.__getitem__
-    best = [(diam, tuple(map(divisor_of, w))) for diam, w in row]
-    predictions = prediction_row(classes.signature)
-    records = []
-    for t, (predicted, (observed, witness)) in enumerate(zip(predictions.per_t, best), 1):
-        status = Status.MATCH if predicted.value == observed else Status.MISMATCH
-        records.append(VerificationRecord(n, t, predicted, observed, witness, status))
-    predicted = predictions.overall
-    # The first strict maximum over sizes 1..k, smallest size first.
-    observed, witness = max(best, key=lambda entry: entry[0])
-    status = Status.MATCH if predicted.value == observed else Status.MISMATCH
-    records.append(VerificationRecord(n, None, predicted, observed, witness, status))
-    return records
+    return [
+        VerificationRecord(n, t, predicted, observed, tuple(map(divisor_of, witness)), status)
+        for t, predicted, observed, witness, status in row
+    ]
 
 
-def _witness_row(classes: DivisorClasses, f: Factorization) -> tuple:
-    """For each size t = 1..k, the maximum and its witness as class indices
-    ascending by value, the row the signature table stores: each class, in
-    value order, that a set still in the running holds, keeping those sets."""
+def _record_row(classes: DivisorClasses, f: Factorization) -> tuple:
+    """The records of every order with the signature and divisor order of
+    classes, the row the signature table stores: (t, predicted, observed,
+    witness, status) for t = 1..k, then the overall entry with t None,
+    each witness as class indices ascending by value.  A size's witness is
+    read off its maxima in one pass over the classes in value order: each
+    class that a set still in the running holds, keeping those sets."""
     maxima = classes.maxima
     if not maxima:
         maxima += _maxima(classes, f)
-    row = []
+    best = []
     for top, holders in maxima:
         running, witness = -1, []
         for c in classes.divisor_order:
@@ -121,7 +119,17 @@ def _witness_row(classes: DivisorClasses, f: Factorization) -> tuple:
             if held:
                 running = held
                 witness.append(c)
-        row.append((top, tuple(witness)))
+        best.append((top, tuple(witness)))
+    predictions = prediction_row(classes.signature)
+    row = []
+    # The overall entry is the first strict maximum over sizes 1..k,
+    # smallest size first.
+    for t, predicted, (observed, witness) in [
+        *zip(range(1, len(best) + 1), predictions.per_t, best),
+        (None, predictions.overall, max(best, key=lambda entry: entry[0])),
+    ]:
+        status = Status.MATCH if predicted.value == observed else Status.MISMATCH
+        row.append((t, predicted, observed, witness, status))
     return tuple(row)
 
 
@@ -137,10 +145,10 @@ def _maxima(classes: DivisorClasses, f: Factorization) -> list:
     for p in f.primes:  # some member is prime to p
         connected &= reduce(or_, [s for s, d in zip(member, classes.divisors) if d % p])
     steps = []  # (the connected sets that hold class i, the step row of i)
-    for held, d in zip(member, classes.divisors):
+    for i, held in enumerate(member):
         held &= connected
         if held:
-            steps.append((held, classes.step(d)))
+            steps.append((held, classes.row(i)))
     sizes = []  # the mask of the sets of each size
     start = 0
     for t in range(1, k + 1):

@@ -472,6 +472,14 @@ class TestOrderTable:
             assert tuple(classes.divisors[i] for i in classes.divisor_order) == expected, n
             assert len(classes.index) == len(classes.divisors) == len(expected) + 1, n
             assert all(classes.index[d] == i for i, d in enumerate(classes.divisors)), n
+            # index and proper_divisors are built on first read, each on
+            # its own: whichever is read first, both equal the eager ones.
+            for first in ("index", "proper_divisors"):
+                fresh = DivisorClasses(f)
+                assert "index" not in vars(fresh) and "proper_divisors" not in vars(fresh), n
+                getattr(fresh, first)
+                assert fresh.index == classes.index and fresh.proper_divisors == expected, n
+            assert not hasattr(fresh, "nope")
             radix = sorted(f.factors, key=lambda pa: (pa[0] != 2, pa[1], pa[0]))
             for i, d in enumerate(classes.divisors):
                 digits = []
@@ -479,6 +487,20 @@ class TestOrderTable:
                     digits.append(i % (a + 1))
                     i //= a + 1
                 assert digits == [valuation(p, d) for p, _ in radix], (n, d)
+
+    def test_verify_hit_builds_no_index(self):
+        # An order whose record row is stored reads only the divisors and
+        # the divisor order of its table.
+        from icg.verify import verify_order
+
+        for n in range(2, 3001):
+            verify_order(n)
+        distance_module.divisor_classes.cache_clear()
+        for n in range(2, 3001):
+            classes = distance_module.divisor_classes(factorize(n))
+            assert classes.divisor_order in classes.witnesses, n
+            verify_order(n)
+            assert "index" not in vars(classes) and "proper_divisors" not in vars(classes), n
 
     @pytest.mark.parametrize("n", [2, 12, 1260, 2310, 1099511627689])
     def test_no_divisors_by_trial_division(self, monkeypatch, n):

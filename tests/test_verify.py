@@ -18,7 +18,7 @@ from icg.core import make_instance
 from icg.distance import DivisorClasses, class_diameter, diameter
 from icg.errors import ResourceLimitError, ValidationError
 from icg.extremal import predict_max_for_t, predict_overall_max, prediction_row
-from icg.numtheory import factorize, proper_divisors
+from icg.numtheory import factorize, proper_divisors, s_of
 from icg.verify import (
     RangeReport,
     Status,
@@ -224,28 +224,29 @@ class TestClassBatch:
 
     def test_batch_fetches_each_step_row_once(self, monkeypatch):
         # One fetch per class that some connected set holds: with k = 1
-        # only the class of 1, otherwise every proper class.
+        # only the class of 1, index 0, otherwise every proper class.
         fetched = []
-        step = DivisorClasses.step
+        row = DivisorClasses.row
 
-        def count_steps(self, d):
-            fetched.append(d)
-            return step(self, d)
+        def count_rows(self, i):
+            fetched.append(i)
+            return row(self, i)
 
-        monkeypatch.setattr(DivisorClasses, "step", count_steps)
+        monkeypatch.setattr(DivisorClasses, "row", count_rows)
         for n in (16, 210, 2310):
             distance_module._exponent_table.cache_clear()
             fetched.clear()
             verify_order(n)
             f = factorize(n)
-            assert fetched == ([1] if f.k == 1 else list(DivisorClasses(f).divisors[:-1])), n
+            assert fetched == ([0] if f.k == 1 else list(range(len(DivisorClasses(f).divisors) - 1))), n
         distance_module._exponent_table.cache_clear()
 
     def test_unreached_class_raises(self, monkeypatch):
-        # A step row that takes no class anywhere leaves {1} at vertex 0.
-        step = DivisorClasses.step
+        # A step row that takes no class anywhere leaves {1}, class index
+        # 0, at vertex 0.
+        row = DivisorClasses.row
         monkeypatch.setattr(
-            DivisorClasses, "step", lambda self, d: (0,) * len(self.divisors) if d == 1 else step(self, d)
+            DivisorClasses, "row", lambda self, i: (0,) * len(self.divisors) if i == 0 else row(self, i)
         )
         distance_module._exponent_table.cache_clear()
         with pytest.raises(RuntimeError, match=r"^n=30: connected set \(1,\) left classes unreached$"):
@@ -266,7 +267,7 @@ class TestSignatureMaxima:
             signature = exponents.pop(2, 0), tuple(sorted(exponents.values()))
             maxima.setdefault(signature, set()).add(observed)
             rows = DivisorClasses(factorize(n)).witnesses.values()
-            assert [tuple(m for m, _ in row) for row in rows] == [observed], n
+            assert [tuple(o for t, _, o, _, _ in row if t is not None) for row in rows] == [observed], n
         assert len(maxima) == 67
         assert {sig: found for sig, found in maxima.items() if len(found) > 1} == {}
 
@@ -295,8 +296,9 @@ class TestShapeTable:
 class TestWitnessRows:
     """A witness is read off the maxima through its order's divisor order,
     the class indices of its proper divisors ascending by value, so
-    verify_order keeps one witness row per signature and divisor order,
-    and an order whose row is stored runs no BFS."""
+    verify_order keeps one finished record row per signature and divisor
+    order, and an order whose row is stored runs no BFS and no
+    predictions."""
 
     def test_orders_of_one_row_skip_the_search(self, monkeypatch):
         # 77 = 7 * 11 and 91 = 7 * 13 list their classes in one order.
@@ -309,8 +311,10 @@ class TestWitnessRows:
             raise AssertionError("searched")
 
         monkeypatch.setattr(icg.verify, "_maxima", refuse)
-        monkeypatch.setattr(icg.verify, "_witness_row", refuse)
+        monkeypatch.setattr(icg.verify, "_record_row", refuse)
+        monkeypatch.setattr(icg.verify, "prediction_row", refuse)
         monkeypatch.setattr(DivisorClasses, "step", refuse)
+        monkeypatch.setattr(DivisorClasses, "row", refuse)
         assert verify_order(91) == cold
         assert len(DivisorClasses(factorize(91)).witnesses) == 1
 
@@ -323,7 +327,7 @@ class TestWitnessRows:
         rows = DivisorClasses(factorize(45)).witnesses
         assert DivisorClasses(factorize(75)).witnesses is rows
         assert sorted(rows) == [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
-        maxima = {tuple(m for m, _ in row) for row in rows.values()}
+        maxima = {tuple(observed for _, _, observed, _, _ in row) for row in rows.values()}
         assert len(maxima) == 1
 
     def test_search_returns_the_stored_row(self):
@@ -336,9 +340,9 @@ class TestWitnessRows:
         assert classes.divisors[:6] == (1, 2, 5, 10, 3, 6)
         ((order, row),) = classes.witnesses.items()
         assert order == classes.divisor_order
-        assert icg.verify._witness_row(classes, f) == row
-        witnesses = [tuple(classes.divisors[i] for i in w) for _, w in row]
-        assert witnesses == [r.witness_set for r in records[:-1]]
+        assert icg.verify._record_row(classes, f) == row
+        witnesses = [tuple(classes.divisors[i] for i in w) for _, _, _, w, _ in row]
+        assert witnesses == [r.witness_set for r in records]
 
     def test_guard_refuses_before_the_lookup(self):
         # 4620 is the first order the subset guard refuses: a row stored
@@ -346,17 +350,18 @@ class TestWitnessRows:
         distance_module._exponent_table.cache_clear()
         classes = DivisorClasses(factorize(4620))
         order = tuple(classes.index[d] for d in sorted(classes.divisors)[:-1])
-        classes.witnesses[order] = ((1, (0,)),) * 5
+        predicted = prediction_row(classes.signature).overall
+        classes.witnesses[order] = ((1, predicted, 1, (0,), Status.MATCH),) * 6
         with pytest.raises(ResourceLimitError):
             verify_order(4620)
         distance_module._exponent_table.cache_clear()
 
     def test_cold_sweep_to_3000_searches_once_per_row(self, monkeypatch):
         # 2,999 orders, 99 signatures and 339 divisor orders: one batch per
-        # signature and one witness row per divisor order.
+        # signature and one record row per divisor order.
         batches = []
         rows = []
-        maxima, witness_row = icg.verify._maxima, icg.verify._witness_row
+        maxima, record_row = icg.verify._maxima, icg.verify._record_row
 
         def count_batches(*args):
             batches.append(args)
@@ -364,10 +369,10 @@ class TestWitnessRows:
 
         def count_rows(*args):
             rows.append(args)
-            return witness_row(*args)
+            return record_row(*args)
 
         monkeypatch.setattr(icg.verify, "_maxima", count_batches)
-        monkeypatch.setattr(icg.verify, "_witness_row", count_rows)
+        monkeypatch.setattr(icg.verify, "_record_row", count_rows)
         distance_module._exponent_table.cache_clear()
         verify_range(2, 3000)
         tables = {id(t): t for t in (DivisorClasses(factorize(n)).witnesses for n in range(2, 3001))}
@@ -377,11 +382,11 @@ class TestWitnessRows:
 
 class TestKnownCounterexamples:
     def test_t_eq_k_mismatches_up_to_1000(self):
-        # The t = k prediction r(n) is one short for these orders of the
-        # form 2 p^a q with a >= 3; the overall prediction still holds.
-        # Every order is verified: its sets with |D| <= k stay far below
-        # the subset guard (the most, 36,456, are n = 840's, of which the
-        # search runs a BFS on 2,566).
+        # The t = k prediction r(n) is one short for these orders, which
+        # meet the rule of test_t_eq_k_rule_up_to_4619; the overall
+        # prediction still holds.  Every order is verified: its sets with
+        # |D| <= k stay far below the subset guard (the most, 36,456, are
+        # n = 840's).
         mismatches = []
         for n in range(2, 1001):
             for r in verify_order(n):
@@ -392,6 +397,25 @@ class TestKnownCounterexamples:
         assert mismatches == [
             (n, 3, 4, 5) for n in (270, 378, 594, 702, 750, 810, 918)
         ]
+
+    def test_t_eq_k_rule_up_to_4619(self):
+        # Every order the subset guard admits: the orders with a mismatch
+        # are exactly those with n = 2 (mod 4), s(n) >= 2 and some odd
+        # prime exponent >= 3.  Each has one mismatch, at t = k and one
+        # above the prediction, and its overall record matches.
+        mismatches = []
+        for r in verify_range(2, 4619).records:
+            if r.t is None:
+                assert r.status is Status.MATCH, r.n
+            elif r.status is Status.MISMATCH:
+                mismatches.append((r.n, r.t, r.observed_max - r.predicted.value))
+        rule = []
+        for n in range(2, 4620):
+            f = factorize(n)
+            if n % 4 == 2 and s_of(f) >= 2 and any(a >= 3 for p, a in f.factors if p > 2):
+                rule.append((n, f.k, 1))
+        assert len(rule) == 43
+        assert mismatches == rule
 
 
 class TestVerifyRange:
