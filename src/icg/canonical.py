@@ -14,13 +14,14 @@ separation is a property of the members' prime-support masks (bit i set
 when the i-th prime divides d): the primes eligible for a member with
 mask m are the bits of AND(other masks) & ~m.  The leave-one-out gcd
 stays the definition, and the tests check the masks against it; the code
-reads the masks, the primes of each mask and the divisors bucketed by
-mask from the order table of ``icg.distance``, and caches the eligible
-bits per tuple of masks.  ``enumerate_separated`` builds its sets as
-products of the buckets, over the separated mask sets of size t, which
-depend only on k and t.  Every enumeration of divisor subsets lists the
-divisors from the order table and is sized by ``subset_sizes``, the one
-place that refuses a request for more than ``MAX_SUBSETS`` sets.
+reads the members' classes and masks, the primes of each mask and the
+divisors bucketed by mask from the order table of ``icg.distance``,
+which refuses a non-divisor, and caches the eligible bits per tuple of
+masks.  ``enumerate_separated`` builds its sets as products of the
+buckets, over the separated mask sets of size t, which depend only on k
+and t.  Every enumeration of divisor subsets lists the divisors from the
+order table and is sized by ``subset_sizes``, the one place that refuses
+a request for more than ``MAX_SUBSETS`` sets.
 """
 
 from __future__ import annotations
@@ -67,11 +68,7 @@ def eligible_bits(k: int, masks: tuple[int, ...]) -> tuple[int, ...]:
 def _eligible(f: Factorization, divisors: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The eligible primes of each divisor, from the order table."""
     classes = divisor_classes(f)
-    mask = classes.masks
-    try:
-        masks = tuple([mask[d] for d in divisors])
-    except KeyError as exc:
-        raise DomainError(f"{exc.args[0]} does not divide n={f.n}") from None
+    masks = tuple(map(classes.masks.__getitem__, classes.indices(divisors)))
     return [classes.mask_primes[b] for b in eligible_bits(f.k, masks)]
 
 

@@ -29,23 +29,23 @@ n only through its signature too, and its verdicts on a divisor set read
 each member and witness prime only through its class digits.
 
 Two cached tables hold what is shared.  The order table of n is its
-``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most recent
-orders: the one place that lists an order's divisors.  It builds at once
-only what ``verify_order`` reads: the divisors by class index, the
-divisor order (the class indices of the proper divisors, ascending by
-value) and the signature.  The divisor-to-index map, the ascending
-proper divisors and the prime-support data of ``canonical`` are built on
-first read.  The signature table, ``_exponent_table``, kept for the 128
-most recent signatures, holds the step rows by class index, built from
-cached per-prime layers on first use; the per-size maxima of ``verify``
-and the sets reaching them; its finished record rows, keyed by divisor
-order; and the verdicts of ``extremal``, keyed by the bitmask of
-the set's class indices (negated for the untouched-prime flags) or, at
-t = k, by the class indices of the members and of the witness's
-(divisor, prime) pairs.  Every entry is a function of the signature and
-its key alone, so a table is exact for every order of its signature.  An
-order table looks its signature table up on every read, so it never
-reads an evicted one.
+``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most
+recent orders: the one place that lists an order's divisors and maps a
+member of n to its class (``indices``).  It builds at once only what
+``verify_order`` reads: the divisors by class index, the divisor order
+(the class indices of the proper divisors, ascending by value) and the
+signature.  Its other parts are cached properties, built on first read.
+The signature table, ``_exponent_table``, kept for the 128 most recent
+signatures, holds the step rows by class index, built from cached
+per-prime layers on first use; the per-size maxima of ``verify`` and the
+sets reaching them; its finished record rows, keyed by divisor order;
+and the verdicts of ``extremal``, keyed by the bitmask of the set's
+class indices (negated for the untouched-prime flags) or, at t = k, by
+the class indices of the members and of the witness's (divisor, prime)
+pairs.  Every entry is a function of the signature and its key alone,
+so a table is exact for every order of its signature.  An order table
+looks its signature table up on every read, so it never reads an
+evicted one.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import or_
 from types import MappingProxyType
 from typing import NamedTuple
@@ -120,8 +120,8 @@ class DivisorClasses:
 
     ``divisors``, ``divisor_order`` and ``signature`` are built with the
     table, and they are all that ``verify_order`` reads of it.  ``index``,
-    ``proper_divisors`` and the prime-support data of ``canonical`` are
-    built on first read, see ``__getattr__``.  ``maxima`` and
+    the one map keyed by divisor, ``proper_divisors`` and the prime-support
+    data of ``canonical`` are built on first read.  ``maxima`` and
     ``witnesses`` are the parts of n's signature table that ``verify``
     reads and fills (``witnesses`` maps each divisor order to its finished
     record row), ``verdicts`` the one that ``extremal`` reads and fills.
@@ -159,37 +159,48 @@ class DivisorClasses:
     def verdicts(self) -> dict:
         return _exponent_table(self.signature)[3]
 
-    def __getattr__(self, name: str):
-        """Builds the parts of the table that ``verify_order`` never reads,
-        each on its first read.  ``index`` maps each divisor of n to its
-        class index, and ``proper_divisors`` lists the proper divisors
-        ascending.  The prime-support data of ``canonical`` is built as one
-        group: ``masks`` maps each divisor of n, n included, to its mask,
-        with bit i set when the i-th prime of n, ascending, divides it, and
-        ``mask_primes`` and ``buckets`` hold the primes and the proper
-        divisors of each mask, ascending."""
-        if name == "index":
-            self.index = dict(zip(self.divisors, range(len(self.divisors))))
-        elif name == "proper_divisors":
-            self.proper_divisors = tuple(map(self.divisors.__getitem__, self.divisor_order))
-        elif name in ("masks", "mask_primes", "buckets"):
-            primes = sorted(p for p, _ in self._factors)
-            masks = [0]
-            for p, a in self._factors:
-                bit = 1 << primes.index(p)
-                masks += [m | bit for m in masks] * a
-            self.masks = mask = dict(zip(self.divisors, masks))
-            mask_primes: list[tuple[int, ...]] = [()]
-            for p in primes:
-                mask_primes += [ps + (p,) for ps in mask_primes]
-            self.mask_primes = tuple(mask_primes)
-            buckets: list[list[int]] = [[] for _ in mask_primes]
-            for d in self.proper_divisors:
-                buckets[mask[d]].append(d)
-            self.buckets = tuple(map(tuple, buckets))
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Each divisor of n, n included, to its class index."""
+        return dict(zip(self.divisors, range(len(self.divisors))))
+
+    @cached_property
+    def proper_divisors(self) -> tuple[int, ...]:
+        """The proper divisors of n, ascending."""
+        return tuple(map(self.divisors.__getitem__, self.divisor_order))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """By class index, the divisor's mask: bit i if the i-th prime divides it."""
+        primes = sorted(p for p, _ in self._factors)
+        masks = [0]
+        for p, a in self._factors:
+            bit = 1 << primes.index(p)
+            masks += [m | bit for m in masks] * a
+        return tuple(masks)
+
+    @cached_property
+    def mask_primes(self) -> tuple[tuple[int, ...], ...]:
+        """By mask, its primes ascending."""
+        mask_primes: list[tuple[int, ...]] = [()]
+        for p in sorted(p for p, _ in self._factors):
+            mask_primes += [ps + (p,) for ps in mask_primes]
+        return tuple(mask_primes)
+
+    @cached_property
+    def buckets(self) -> tuple[tuple[int, ...], ...]:
+        """By mask, the proper divisors with that mask, ascending."""
+        buckets: list[list[int]] = [[] for _ in range(1 << len(self._factors))]
+        for i in self.divisor_order:
+            buckets[self.masks[i]].append(self.divisors[i])
+        return tuple(map(tuple, buckets))
+
+    def indices(self, numbers) -> tuple[int, ...]:
+        """The class index of each number; DomainError for one not dividing n."""
+        try:
+            return tuple(map(self.index.__getitem__, numbers))
+        except KeyError as exc:
+            raise DomainError(f"{exc.args[0]} does not divide n={self.divisors[-1]}") from None
 
     def row(self, i: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol

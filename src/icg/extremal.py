@@ -26,10 +26,11 @@ indices, ``check_untouched_prime`` by that bitmask negated, and
 ``extremal_check_t_eq_k`` by the class indices of the members, in the
 order of their values, followed by those of the witness's (divisor,
 prime) pairs.  The predicates fill the map on a miss and every order of
-the signature reads it.  Each check validates its input and
-raises its DomainError before the lookup, and ``check_untouched_prime``
-keeps only its three attainment flags in the map: the split n = m * n' is
-computed for every call.
+the signature reads it.  Each check validates its input, a member or
+witness prime that does not divide n through the order table's
+``indices``, and raises its DomainError before the lookup, and
+``check_untouched_prime`` keeps only its three attainment flags in the
+map: the split n = m * n' is computed for every call.
 """
 
 from __future__ import annotations
@@ -229,17 +230,10 @@ def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) 
     )
 
 
-def _class_indices(classes: DivisorClasses, numbers) -> tuple[int, ...]:
-    """The class index of each number; DomainError for one not dividing n."""
-    try:
-        return tuple(map(classes.index.__getitem__, numbers))
-    except KeyError as exc:
-        raise DomainError(f"{exc.args[0]} does not divide n={classes.divisors[-1]}") from None
-
-
-def _set_key(classes: DivisorClasses, divisors: tuple[int, ...]) -> int:
-    """The set's key in the verdict map: the bitmask of its class indices."""
-    return sum(map((1).__lshift__, _class_indices(classes, divisors)))
+def _set_key(classes: DivisorClasses, divisors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The set's verdict key, the bitmask of its class indices, and its members' masks."""
+    indices = classes.indices(divisors)
+    return sum(map((1).__lshift__, indices)), tuple(map(classes.masks.__getitem__, indices))
 
 
 def extremal_check_t_eq_k(
@@ -258,7 +252,7 @@ def extremal_check_t_eq_k(
             f"extremal_check_t_eq_k requires |D| = k = {f.k}, got {len(ds.divisors)}"
         )
     classes = divisor_classes(f)
-    key = _class_indices(classes, chain(ds.divisors, *w.assignment))
+    key = classes.indices(chain(ds.divisors, *w.assignment))
     verdicts = classes.verdicts
     verdict = verdicts.get(key)
     if verdict is None:
@@ -300,8 +294,8 @@ def extremal_check_t_lt_k(
     if len(ds.divisors) >= f.k:
         raise DomainError(f"extremal_check_t_lt_k requires |D| < k = {f.k}")
     classes = divisor_classes(f)
-    key = _set_key(classes, ds.divisors)
-    touched = reduce(or_, map(classes.masks.__getitem__, ds.divisors))
+    key, masks = _set_key(classes, ds.divisors)
+    touched = reduce(or_, masks)
     untouched = touched != (1 << f.k) - 1
     # The injection cases need every prime of n to touch some divisor.
     if untouched and s_of(f) >= 2:
@@ -360,9 +354,8 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     the set; m and n' are computed for every call.
     """
     classes = divisor_classes(f)
-    key = _set_key(classes, ds.divisors)
-    touched = reduce(or_, map(classes.masks.__getitem__, ds.divisors))
-    untouched = _untouched(f, touched)
+    key, masks = _set_key(classes, ds.divisors)
+    untouched = _untouched(f, reduce(or_, masks))
     if not untouched:
         raise DomainError("every prime of n divides some divisor; nothing untouched")
     n_prime = math.prod(p**a for p, a in untouched)
@@ -370,7 +363,7 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
     verdicts = classes.verdicts
     flags = verdicts.get(-key)
     if flags is None:
-        flags = verdicts[-key] = _untouched_flags(f, classes, ds, touched, m, n_prime)
+        flags = verdicts[-key] = _untouched_flags(f, classes, ds, masks, n_prime)
     attains_r, two_t_plus_one, two_t = flags
     return UntouchedPrimeVerdict(
         attains_r, "thm:main" if attains_r else None, two_t_plus_one, m, n_prime, two_t
@@ -378,10 +371,12 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
 
 
 def _untouched_flags(
-    f: Factorization, classes: DivisorClasses, ds: DivisorSet, touched: int, m: int, n_prime: int
+    f: Factorization, classes: DivisorClasses, ds: DivisorSet, masks: tuple[int, ...], n_prime: int
 ) -> tuple[bool, bool, bool]:
-    """Whether ds, touching the primes of the mask touched, attains r(n),
+    """Whether ds, with its members' prime-support masks, attains r(n),
     2|D|+1 and 2|D|, for n = m * n' with n' the untouched part."""
+    m = f.n // n_prime
+    touched = reduce(or_, masks)
     square_pair = attains_r = False
     if m == 1:
         # D = {1}: the square-pair condition over the (empty) touched part
@@ -396,7 +391,6 @@ def _untouched_flags(
         # members' masks lies in the touched mask, except for a lone member,
         # where it is every prime of n.  With |D| = k(m) disjoint nonempty
         # eligible sets hold one prime each, so the witness is unique.
-        masks = tuple([classes.masks[d] for d in ds.divisors])
         bits = [b & touched for b in eligible_bits(f.k, masks)]
         if all(bits):
             primes = classes.mask_primes
@@ -532,9 +526,7 @@ def lift_diameter_small(m: int, ds: DivisorSet, base_diam: int, n_prime: int) ->
     g = make_instance(m, ds.divisors)
     classes = divisor_classes(g.factorization)
     row = classes.reach(g.divisor_set.divisors)
-    sums = 0
-    for d in g.divisor_set.divisors:
-        sums |= row[classes.index[d]]
+    sums = reduce(or_, map(row.__getitem__, classes.indices(g.divisor_set.divisors)))
     top = 1 << (len(classes.divisors) - 1)
     return 2 if sums | top == 2 * top - 1 else 3
 
@@ -561,12 +553,14 @@ def saxena_family(primes) -> tuple[int, DivisorSet, int]:
 def diameter_two_cases(f: Factorization, ds: DivisorSet) -> bool:
     """True when the diameter is exactly 2 by the lower-bound cases:
     1 in D with n an odd composite or a power of 2, or n = 2^a * m (m > 1
-    odd) with both 1 and 2^a in D.  Requires D != D_n."""
+    odd) with both 1 and 2^a in D.  Requires divisors of n, and D != D_n."""
     n = f.n
+    classes = divisor_classes(f)
+    classes.indices(ds.divisors)
     dset = set(ds.divisors)
     if 1 not in dset:
         raise DomainError("diameter_two_cases requires 1 in D")
-    if dset == set(divisor_classes(f).proper_divisors):
+    if dset == set(classes.proper_divisors):
         raise DomainError("diameter_two_cases requires D != D_n")
     if f.k == 1:
         prime_power_composite = f.exponents[0] > 1

@@ -53,10 +53,7 @@ def pst_admissible(f: Factorization, ds: DivisorSet) -> PstDecomposition | None:
     and it must lie in D; a = 1 is tried first.
     """
     n = f.n
-    index = divisor_classes(f).index
-    for d in ds.divisors:
-        if d not in index:
-            raise DomainError(f"{d} does not divide n={n}")
+    divisor_classes(f).indices(ds.divisors)
     if n % 4 != 0:
         return None
     dset = set(ds.divisors)

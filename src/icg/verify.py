@@ -268,8 +268,9 @@ def verify_range(
     Raises ResourceLimitError, before verifying any order or starting a
     pool, when ``subset_sizes`` refuses some order of the range.  With one
     worker, or one order, the orders run in a plain loop in this process.
-    With more than one worker they run in a process pool, which is
-    imported here and only then, so importing icg loads no pool machinery.
+    With more than one worker they run in a process pool, imported here
+    and only then, so importing icg loads no pool machinery; each worker
+    takes about eight contiguous runs of orders, one round trip per run.
     """
     if n_lo < 2 or n_hi < n_lo:
         raise ValidationError(f"invalid range [{n_lo}, {n_hi}]")
@@ -291,10 +292,10 @@ def verify_range(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(verify_order, orders):
+        for chunk in pool.map(verify_order, orders, chunksize=-(-len(orders) // (8 * workers))):
             records += chunk
             if fail_fast and _mismatched(chunk):
-                # map has submitted every order; drop those not yet started.
+                # map has submitted every run; drop those not yet started.
                 pool.shutdown(cancel_futures=True)
                 break
     return RangeReport(n_lo, n_hi, tuple(records))

@@ -182,10 +182,13 @@ class TestEligiblePrimes:
             classes = divisor_classes(f)
             for d in (*proper_divisors(n), n):
                 bits = [i for i, p in enumerate(f.primes) if d % p == 0]
-                assert classes.masks[d] == sum(1 << i for i in bits), (n, d)
-                assert classes.mask_primes[classes.masks[d]] == tuple(f.primes[i] for i in bits)
+                mask = classes.masks[classes.index[d]]
+                assert mask == sum(1 << i for i in bits), (n, d)
+                assert classes.mask_primes[mask] == tuple(f.primes[i] for i in bits)
             for m, bucket in enumerate(classes.buckets):
-                assert bucket == tuple(d for d in proper_divisors(n) if classes.masks[d] == m)
+                assert bucket == tuple(
+                    d for d in proper_divisors(n) if classes.masks[classes.index[d]] == m
+                )
             for combo in divisor_subsets(n, 1, f.k):
                 assert eligible_primes(f, combo) == gcd_eligible(f.primes, combo), (n, combo)
 

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icg.core import make_instance
+from icg import canonical, extremal, pst
+from icg.canonical import SeparationWitness
+from icg.core import DivisorSet, make_instance
 from icg.distance import (
     DivisorClasses,
     apsp_oracle,
@@ -502,13 +504,48 @@ class TestOrderTable:
             verify_order(n)
             assert "index" not in vars(classes) and "proper_divisors" not in vars(classes), n
 
+    @pytest.mark.parametrize(
+        "n, bad, call",
+        [
+            (30, 7, lambda f: canonical.eligible_primes(f, (7,))),
+            (30, 4, lambda f: next(canonical.iter_witnesses(f, DivisorSet(30, (4, 15))))),
+            (
+                30,
+                45,
+                lambda f: extremal.extremal_check_t_eq_k(
+                    f, DivisorSet(30, (6, 10, 45)), SeparationWitness(((6, 5), (10, 3), (45, 2)))
+                ),
+            ),
+            (30, 45, lambda f: extremal.extremal_check_t_lt_k(f, DivisorSet(30, (6, 45)), None)),
+            (30, 45, lambda f: extremal.check_untouched_prime(f, DivisorSet(30, (45,)))),
+            (15, 45, lambda f: extremal.diameter_two_cases(f, DivisorSet(15, (1, 45)))),
+            (12, 24, lambda f: pst.pst_admissible(f, DivisorSet(12, (6, 24)))),
+        ],
+        ids=[
+            "eligible_primes",
+            "iter_witnesses",
+            "extremal_check_t_eq_k",
+            "extremal_check_t_lt_k",
+            "check_untouched_prime",
+            "diameter_two_cases",
+            "pst_admissible",
+        ],
+    )
+    def test_entry_points_refuse_a_non_divisor(self, n, bad, call):
+        # Every entry point that reads a member through the order table
+        # refuses one that does not divide n, with the one message of
+        # DivisorClasses.indices, before and after the table cache is cleared.
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^{bad} does not divide n={n}$"):
+                call(factorize(n))
+            distance_module.divisor_classes.cache_clear()
+
     @pytest.mark.parametrize("n", [2, 12, 1260, 2310, 1099511627689])
     def test_no_divisors_by_trial_division(self, monkeypatch, n):
         # divisor_subsets, enumerate_pst_sets and diameter_two_cases read
         # the proper divisors from the order table.
         # A prime near 2^40 makes proper_divisors trial-divide for 0.16 s.
-        from icg import canonical, extremal, numtheory, pst
-        from icg.core import DivisorSet
+        from icg import numtheory
 
         f = factorize(n)
 

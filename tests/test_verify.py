@@ -398,24 +398,35 @@ class TestKnownCounterexamples:
             (n, 3, 4, 5) for n in (270, 378, 594, 702, 750, 810, 918)
         ]
 
-    def test_t_eq_k_rule_up_to_4619(self):
-        # Every order the subset guard admits: the orders with a mismatch
-        # are exactly those with n = 2 (mod 4), s(n) >= 2 and some odd
-        # prime exponent >= 3.  Each has one mismatch, at t = k and one
-        # above the prediction, and its overall record matches.
+    @staticmethod
+    def rule_mismatches(lo, hi):
+        """The t = k mismatches of lo..hi, checked against the rule: the
+        orders with a mismatch are exactly those with n = 2 (mod 4),
+        s(n) >= 2 and some odd prime exponent >= 3.  Each has one
+        mismatch, at t = k and one above the prediction, and its overall
+        record matches."""
         mismatches = []
-        for r in verify_range(2, 4619).records:
+        for r in verify_range(lo, hi).records:
             if r.t is None:
                 assert r.status is Status.MATCH, r.n
             elif r.status is Status.MISMATCH:
                 mismatches.append((r.n, r.t, r.observed_max - r.predicted.value))
         rule = []
-        for n in range(2, 4620):
+        for n in range(lo, hi + 1):
             f = factorize(n)
             if n % 4 == 2 and s_of(f) >= 2 and any(a >= 3 for p, a in f.factors if p > 2):
                 rule.append((n, f.k, 1))
-        assert len(rule) == 43
         assert mismatches == rule
+        return [n for n, _, _ in rule]
+
+    def test_t_eq_k_rule_up_to_4619(self):
+        # Every order the subset guard admits below 4620, its first refusal.
+        assert len(self.rule_mismatches(2, 4619)) == 43
+
+    def test_t_eq_k_rule_from_4621_to_5459(self):
+        # The first run of orders past 4620 that the subset guard admits.
+        orders = self.rule_mismatches(4621, 5459)
+        assert len(orders) == 10 and orders[0] == 4698 and orders[-1] == 5454
 
 
 class TestVerifyRange:
@@ -505,6 +516,20 @@ class TestVerifyRange:
         assert {r.n for r in serial.records} == {270}
         assert parallel.to_json() == serial.to_json()
 
+    def test_pool_takes_contiguous_runs(self, monkeypatch):
+        # 399 orders on two workers go in runs of 25, about eight per worker,
+        # and the report is the serial one.
+        sizes = []
+        pool_map = concurrent.futures.ProcessPoolExecutor.map
+
+        def recording_map(pool, fn, *iterables, chunksize=1, **kwargs):
+            sizes.append(chunksize)
+            return pool_map(pool, fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recording_map)
+        assert verify_range(2, 400, jobs=2).to_json() == verify_range(2, 400).to_json()
+        assert sizes == [25]
+
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Sizes of the pools verify_range builds.  The stand-in pool maps
@@ -521,7 +546,7 @@ class TestVerifyRange:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, *, chunksize):
                 return map(fn, iterable)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
