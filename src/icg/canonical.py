@@ -193,7 +193,7 @@ def enumerate_separated(n: int, t: int) -> list[DivisorSet]:
     if t > f.k:
         return []
     classes = divisor_classes(f)
-    subset_sizes(n, len(classes.proper_divisors), t, t)
+    subset_sizes(n, len(classes.divisor_order), t, t)
     buckets = classes.buckets
     combos = sorted(
         tuple(sorted(combo))

@@ -33,19 +33,19 @@ Two cached tables hold what is shared.  The order table of n is its
 recent orders: the one place that lists an order's divisors and maps a
 member of n to its class (``indices``).  It builds at once only what
 ``verify_order`` reads: the divisors by class index, the divisor order
-(the class indices of the proper divisors, ascending by value) and the
-signature.  Its other parts are cached properties, built on first read.
-The signature table, ``_exponent_table``, kept for the 128 most recent
-signatures, holds the step rows by class index, built from cached
-per-prime layers on first use; the per-size maxima of ``verify`` and the
-sets reaching them; its finished record rows, keyed by divisor order;
-and the verdicts of ``extremal``, keyed by the bitmask of the set's
-class indices (negated for the untouched-prime flags) or, at t = k, by
-the class indices of the members and of the witness's (divisor, prime)
-pairs.  Every entry is a function of the signature and its key alone,
-so a table is exact for every order of its signature.  An order table
-looks its signature table up on every read, so it never reads an
-evicted one.
+(the class indices of the proper divisors, ascending by value), the
+signature and the parts of its signature table.  Its other parts are
+cached properties, built on first read.  The signature table,
+``_exponent_table``, kept for the 128 most recent signatures, holds the
+step ``rows`` by class index, built from cached per-prime layers on
+first use; the per-size ``maxima`` of ``verify`` with the sets reaching
+them, and its finished record rows, ``records``, keyed by divisor order;
+and the ``verdicts`` of ``extremal``, keyed by the bitmask of the set's
+class indices or, at t = k, by the class indices of the members and of
+the witness's (divisor, prime) pairs, and its ``untouched``-prime flags,
+keyed by the bitmask.  Every entry is a function of the signature and
+its key alone, so a table is exact for every order of its signature,
+also when an order table holds it after its eviction.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -119,12 +119,12 @@ class DivisorClasses:
     rows, ``reach``; ``row(i)`` is the step row of class index i.
 
     ``divisors``, ``divisor_order`` and ``signature`` are built with the
-    table, and they are all that ``verify_order`` reads of it.  ``index``,
-    the one map keyed by divisor, ``proper_divisors`` and the prime-support
-    data of ``canonical`` are built on first read.  ``maxima`` and
-    ``witnesses`` are the parts of n's signature table that ``verify``
-    reads and fills (``witnesses`` maps each divisor order to its finished
-    record row), ``verdicts`` the one that ``extremal`` reads and fills.
+    table, which also takes the parts of n's signature table once: the step
+    ``rows``, the ``maxima`` and ``records`` of ``verify`` (a finished
+    record row per divisor order) and the ``verdicts`` and ``untouched``
+    flags of ``extremal``.  ``verify_order`` reads only ``records`` and the
+    first three.  ``index``, the one map keyed by divisor, ``proper_divisors``
+    and the prime-support data of ``canonical`` are built on first read.
     """
 
     def __init__(self, f: Factorization) -> None:
@@ -146,18 +146,9 @@ class DivisorClasses:
         # odd exponents ascending.
         exponents = [a for _, a in self._factors]
         self.signature = Signature(exponents.pop(0) if f.n % 2 == 0 else 0, tuple(exponents))
-
-    @property
-    def maxima(self) -> list[tuple[int, tuple[int, ...]]]:
-        return _exponent_table(self.signature)[1]
-
-    @property
-    def witnesses(self) -> dict[tuple[int, ...], tuple]:
-        return _exponent_table(self.signature)[2]
-
-    @property
-    def verdicts(self) -> dict:
-        return _exponent_table(self.signature)[3]
+        self.rows, self.maxima, self.records, self.verdicts, self.untouched = _exponent_table(
+            self.signature
+        )
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -213,24 +204,19 @@ class DivisorClasses:
         stride_p, so each product with a layer mask is a union of shifted
         copies.
         """
-        steps = _exponent_table(self.signature)[0]
-        row = steps.get(i)
+        row = self.rows.get(i)
         if row is None:
             row = [1]  # len(row) is the stride of the next prime
             for p, a in self._factors:
                 layer = _layer(p == 2, a, i // len(row) % (a + 1), len(row))
                 row = [m * mask for mask in layer for m in row]
-            row = steps[i] = tuple(row)
+            row = self.rows[i] = tuple(row)
         return row
-
-    def step(self, d: int) -> tuple[int, ...]:
-        """The step row of the class of the divisor d: ``row(index[d])``."""
-        return self.row(self.index[d])
 
     def reach(self, divisors) -> list[int]:
         """The successor row of the divisor set: for each class index, the
         mask of classes that one symbol of any class in divisors reaches."""
-        return or_rows([0] * len(self.divisors), map(self.step, divisors))
+        return or_rows([0] * len(self.divisors), map(self.row, self.indices(divisors)))
 
 
 @lru_cache(maxsize=8)  # callers go order by order; tau(n) = 6720 takes about 1.3 MB
@@ -242,10 +228,11 @@ def divisor_classes(f: Factorization) -> DivisorClasses:
 # Bounds memory; holds the 99 signatures of 2..3000, so an ascending sweep
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
-def _exponent_table(signature: Signature) -> tuple[dict, list, dict, dict]:
+def _exponent_table(signature: Signature) -> tuple[dict, list, dict, dict, dict]:
     """The signature table: step rows, the per-size maxima and record
-    rows of ``verify``, and closed-form verdicts."""
-    return {}, [], {}, {}
+    rows of ``verify``, and the verdicts and untouched-prime flags of
+    ``extremal``."""
+    return {}, [], {}, {}, {}
 
 
 @lru_cache(maxsize=None)  # keys: a, j <= 40 and stride < tau(n) <= 6720 below FACTOR_BOUND
@@ -335,7 +322,7 @@ def bfs_profile(g: IcgInstance) -> DistanceProfile:
 
 def _step_towards_zero(classes: DivisorClasses, steps, level: int, cur: int) -> int:
     """Smallest vertex u in the classes of the bitmask level with
-    gcd(cur - u, n) = e for some pair (e, step(e)) of steps; see
+    gcd(cur - u, n) = e for some pair (e, step row of e) of steps; see
     ``diameter``."""
     n = classes.divisors[-1]
     gate = classes.index[math.gcd(cur, n)]
@@ -362,14 +349,15 @@ def diameter(g: IcgInstance) -> DiameterResult:
     class c with gcd(cur - u, n) = e are the terms of the progression
     u = 0 (mod c), u = cur (mod e), of step lcm(c, e) and first term
     c * ((cur/h) * (c/h)^-1 mod e/h) with h = gcd(c, e).  A pair (c, e)
-    is walked only when bit c of step(e)[gcd(cur, n)] is set, that is when
-    some symbol of class e takes cur into class c, so every walked
-    progression holds a hit below n.  A walk stops at the best hit so far,
+    is walked only when the step row of e has bit c at the class of cur,
+    that is when some symbol of class e takes cur into class c, so every
+    walked progression holds a hit below n.  A walk stops at the best hit so far,
     and the first term whose two gcds are exactly c and e is the smallest
     of its pair, so the minimum over pairs is the smallest vertex of all.
     """
     classes = divisor_classes(g.factorization)
-    steps = [(e, classes.step(e)) for e in g.divisor_set.divisors]
+    members = g.divisor_set.divisors
+    steps = list(zip(members, map(classes.row, classes.indices(members))))
     # A divisor set is not empty.
     levels = levels_from_zero(or_rows(steps[0][1], (step for _, step in steps[1:])))
     if not is_connected(g.divisor_set):

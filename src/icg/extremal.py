@@ -20,16 +20,16 @@ The predicates read a member d of a set, or a prime p of a witness, only
 through its class digits (whether p, p^2 or p^a divides d) and a prime of
 n only through p == 2 and its exponent.  So a verdict is a function of the
 signature and of the class indices of the members and witness pairs, and
-it is kept in the verdict map of the signature table of ``icg.distance``:
-``extremal_check_t_lt_k`` keys it by the bitmask of the set's class
-indices, ``check_untouched_prime`` by that bitmask negated, and
-``extremal_check_t_eq_k`` by the class indices of the members, in the
+it is kept in the signature table of ``icg.distance``.  Its verdict map
+keys ``extremal_check_t_lt_k`` by the bitmask of the set's class indices
+and ``extremal_check_t_eq_k`` by the class indices of the members, in the
 order of their values, followed by those of the witness's (divisor,
-prime) pairs.  The predicates fill the map on a miss and every order of
-the signature reads it.  Each check validates its input, a member or
+prime) pairs; its untouched map keys ``check_untouched_prime`` by the
+bitmask.  The predicates fill the maps on a miss and every order of the
+signature reads them.  Each check validates its input, a member or
 witness prime that does not divide n through the order table's
 ``indices``, and raises its DomainError before the lookup, and
-``check_untouched_prime`` keeps only its three attainment flags in the
+``check_untouched_prime`` keeps only its three attainment flags in its
 map: the split n = m * n' is computed for every call.
 """
 
@@ -232,6 +232,8 @@ def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) 
 
 def _set_key(classes: DivisorClasses, divisors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The set's verdict key, the bitmask of its class indices, and its members' masks."""
+    if not divisors:
+        raise DomainError("divisor set must be nonempty")
     indices = classes.indices(divisors)
     return sum(map((1).__lshift__, indices)), tuple(map(classes.masks.__getitem__, indices))
 
@@ -253,10 +255,9 @@ def extremal_check_t_eq_k(
         )
     classes = divisor_classes(f)
     key = classes.indices(chain(ds.divisors, *w.assignment))
-    verdicts = classes.verdicts
-    verdict = verdicts.get(key)
+    verdict = classes.verdicts.get(key)
     if verdict is None:
-        verdict = verdicts[key] = _t_eq_k_verdict(f, ds, w)
+        verdict = classes.verdicts[key] = _t_eq_k_verdict(f, ds, w)
     return verdict
 
 
@@ -301,10 +302,9 @@ def extremal_check_t_lt_k(
     if untouched and s_of(f) >= 2:
         primes = [p for p, _ in _untouched(f, touched)]
         raise DomainError(f"primes {primes} divide no divisor; use check_untouched_prime")
-    verdicts = classes.verdicts
-    verdict = verdicts.get(key)
+    verdict = classes.verdicts.get(key)
     if verdict is None:
-        verdict = verdicts[key] = _t_lt_k_verdict(f, ds, untouched)
+        verdict = classes.verdicts[key] = _t_lt_k_verdict(f, ds, untouched)
     return verdict
 
 
@@ -360,10 +360,9 @@ def check_untouched_prime(f: Factorization, ds: DivisorSet) -> UntouchedPrimeVer
         raise DomainError("every prime of n divides some divisor; nothing untouched")
     n_prime = math.prod(p**a for p, a in untouched)
     m = f.n // n_prime
-    verdicts = classes.verdicts
-    flags = verdicts.get(-key)
+    flags = classes.untouched.get(key)
     if flags is None:
-        flags = verdicts[-key] = _untouched_flags(f, classes, ds, masks, n_prime)
+        flags = classes.untouched[key] = _untouched_flags(f, classes, ds, masks, n_prime)
     attains_r, two_t_plus_one, two_t = flags
     return UntouchedPrimeVerdict(
         attains_r, "thm:main" if attains_r else None, two_t_plus_one, m, n_prime, two_t

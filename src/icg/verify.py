@@ -90,10 +90,9 @@ def verify_order(n: int) -> list[VerificationRecord]:
     classes = divisor_classes(f)
     order = classes.divisor_order
     subset_sizes(n, len(order), 1, f.k)
-    rows = classes.witnesses
-    row = rows.get(order)
+    row = classes.records.get(order)
     if row is None:
-        row = rows[order] = _record_row(classes, f)
+        row = classes.records[order] = _record_row(classes, f)
     divisor_of = classes.divisors.__getitem__
     return [
         VerificationRecord(n, t, predicted, observed, tuple(map(divisor_of, witness)), status)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from icg import canonical, extremal, pst
 from icg.canonical import SeparationWitness
-from icg.core import DivisorSet, make_instance
+from icg.core import DivisorSet, IcgInstance, make_instance
 from icg.distance import (
     DivisorClasses,
     apsp_oracle,
@@ -33,6 +33,7 @@ from icg.extremal import saxena_family
 from icg.numtheory import factorize, proper_divisors, valuation
 
 from bitmask_oracle import symbol_mask, vertex_levels
+from tables import clear_tables
 
 # The package re-exports the function ``distance`` under the module's name.
 distance_module = importlib.import_module("icg.distance")
@@ -326,14 +327,14 @@ class TestLevelsEarlyExit:
 
 class TestStepRows:
     def test_rows_match_vertex_sums(self):
-        # Bit c of step(d)[index[g]] is set exactly when some symbol s of
-        # class d takes vertex g to a vertex of class c.  2..300 holds
+        # Bit c of row(index[d])[index[g]] is set exactly when some symbol
+        # s of class d takes vertex g to a vertex of class c.  2..300 holds
         # exponents of 3 or more, 4 | n and n = 2 (mod 4).
         for n in range(2, 301):
             classes = DivisorClasses(factorize(n))
             for d in proper_divisors(n):
                 symbols = [s for s in range(n) if math.gcd(s, n) == d]
-                row = classes.step(d)
+                row = classes.row(classes.index[d])
                 for g in classes.divisors:
                     expected = 0
                     for s in symbols:
@@ -351,7 +352,7 @@ class TestStepRows:
                 for combo in itertools.combinations(divs, size):
                     expected = [
                         functools.reduce(operator.or_, masks)
-                        for masks in zip(*(classes.step(d) for d in combo))
+                        for masks in zip(*(classes.row(classes.index[d]) for d in combo))
                     ]
                     assert classes.reach(combo) == expected, (n, combo)
 
@@ -361,7 +362,7 @@ class TestShapeTable:
         # 60, 84, 132 and 140 are 4 p q: one row per class index for all.
         rows = [DivisorClasses(factorize(n)) for n in (60, 84, 132, 140)]
         for i in range(len(rows[0].divisors)):
-            steps = {id(c.step(c.divisors[i])) for c in rows}
+            steps = {id(c.row(i)) for c in rows}
             assert len(steps) == 1, i
         assert rows[0].maxima is rows[3].maxima
 
@@ -371,17 +372,17 @@ class TestShapeTable:
         # undoes: the prime of exponent 2 takes the higher digit.
         for pair in ((90, 150), (45, 75)):
             a, b = (DivisorClasses(factorize(n)) for n in pair)
-            assert a.maxima is b.maxima and a.witnesses is b.witnesses, pair
+            assert a.maxima is b.maxima and a.records is b.records, pair
             for i in range(len(a.divisors)):
-                assert a.step(a.divisors[i]) is b.step(b.divisors[i]), (pair, i)
+                assert a.row(i) is b.row(i), (pair, i)
         assert DivisorClasses(factorize(90)).divisors[:6] == (1, 2, 5, 10, 3, 6)
 
     def test_shape_tells_two_apart(self):
         # 6 = 2 * 3 and 15 = 3 * 5 have the same exponents, but adding two
         # odd symbols of 6 never gives an odd vertex.
         six, fifteen = DivisorClasses(factorize(6)), DivisorClasses(factorize(15))
-        assert six.maxima is not fifteen.maxima and six.witnesses is not fifteen.witnesses
-        assert six.step(1) != fifteen.step(1)
+        assert six.maxima is not fifteen.maxima and six.records is not fifteen.records
+        assert six.row(0) != fifteen.row(0)
 
 
 class TestOracleLimits:
@@ -430,19 +431,27 @@ class TestOrderTable:
         assert checked > 100 and enumerate_pst_sets(f, f.k)
         assert built == [1260]
 
-    def test_table_reads_the_live_signature_table(self):
-        # A cached order table keeps no signature table alive: once the
-        # signature tables are cleared, it reads the new one.
-        f = factorize(60)
-        classes = distance_module.divisor_classes(f)
-        stale = classes.maxima, classes.witnesses, classes.step(1), classes.verdicts
-        distance_module._exponent_table.cache_clear()
-        assert distance_module.divisor_classes(f) is classes
-        steps, maxima, witnesses, verdicts = distance_module._exponent_table(f.signature)
-        assert classes.maxima is maxima is not stale[0]
-        assert classes.witnesses is witnesses is not stale[1]
-        assert classes.verdicts is verdicts is not stale[3]
-        assert not steps and classes.step(1) == stale[2] and 0 in steps
+    def test_table_holds_its_signature_table(self):
+        # An order table's parts are its signature table's.  Once the
+        # signature table is evicted, the cached order table still holds
+        # it, and its records equal those a fresh table gives.
+        from icg.verify import verify_order
+
+        for n in (16, 60, 90, 270, 2310):
+            f = factorize(n)
+            clear_tables()
+            classes = distance_module.divisor_classes(f)
+            parts = distance_module._exponent_table(f.signature)
+            held = classes.rows, classes.maxima, classes.records, classes.verdicts, classes.untouched
+            assert len(held) == len(parts) and all(map(operator.is_, held, parts)), n
+            cold = verify_order(n)
+            distance_module._exponent_table.cache_clear()
+            assert distance_module.divisor_classes(f) is classes
+            assert verify_order(n) == cold and classes.divisor_order in classes.records, n
+            clear_tables()
+            fresh = distance_module.divisor_classes(f)
+            assert fresh.records is not classes.records and not fresh.records, n
+            assert verify_order(n) == cold and fresh.records == classes.records, n
 
     def test_signature_from_the_ordered_factors(self):
         # The order table reads its signature off its own ordered factors;
@@ -500,7 +509,7 @@ class TestOrderTable:
         distance_module.divisor_classes.cache_clear()
         for n in range(2, 3001):
             classes = distance_module.divisor_classes(factorize(n))
-            assert classes.divisor_order in classes.witnesses, n
+            assert classes.divisor_order in classes.records, n
             verify_order(n)
             assert "index" not in vars(classes) and "proper_divisors" not in vars(classes), n
 
@@ -520,6 +529,10 @@ class TestOrderTable:
             (30, 45, lambda f: extremal.check_untouched_prime(f, DivisorSet(30, (45,)))),
             (15, 45, lambda f: extremal.diameter_two_cases(f, DivisorSet(15, (1, 45)))),
             (12, 24, lambda f: pst.pst_admissible(f, DivisorSet(12, (6, 24)))),
+            (12, 5, lambda f: diameter(IcgInstance(f, DivisorSet(12, (5,))))),
+            (12, 5, lambda f: distance(IcgInstance(f, DivisorSet(12, (5,))), 0, 1)),
+            (12, 5, lambda f: bfs_profile(IcgInstance(f, DivisorSet(12, (5,))))),
+            (12, 5, lambda f: distance_module.divisor_classes(f).reach((1, 5))),
         ],
         ids=[
             "eligible_primes",
@@ -529,6 +542,10 @@ class TestOrderTable:
             "check_untouched_prime",
             "diameter_two_cases",
             "pst_admissible",
+            "diameter",
+            "distance",
+            "bfs_profile",
+            "reach",
         ],
     )
     def test_entry_points_refuse_a_non_divisor(self, n, bad, call):

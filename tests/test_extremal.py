@@ -48,6 +48,8 @@ from icg.extremal import (
 )
 from icg.numtheory import factorize, proper_divisors, r_of, s_of
 
+from tables import clear_tables
+
 distance_module = importlib.import_module("icg.distance")
 extremal_module = importlib.import_module("icg.extremal")
 
@@ -573,9 +575,9 @@ class TestVerdictTable:
 
     @pytest.fixture(autouse=True)
     def cold_tables(self):
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         yield
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
 
     @pytest.fixture
     def filled(self, monkeypatch):
@@ -595,13 +597,13 @@ class TestVerdictTable:
         # descending, from its largest.  Both must give every set the
         # verdict its own predicates give with a cleared table.
         up = _closed_form_verdicts(CLOSED_FORM_ORDERS)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         down = _closed_form_verdicts(reversed(CLOSED_FORM_ORDERS))
         assert len(up) == 15471 and up == down
         for (n, divisors), verdict in up.items():
             f = factorize(n)
             ds = DivisorSet(n, divisors)
-            distance_module._exponent_table.cache_clear()
+            clear_tables()
             assert _route(f, ds, separation_witness(f, ds)) == verdict, (n, divisors)
 
     def test_most_checks_read_the_table(self, filled):
@@ -638,9 +640,9 @@ class TestVerdictTable:
             expected = {}
             for ds, _ in sets:
                 for _, w in sets:
-                    distance_module._exponent_table.cache_clear()
+                    clear_tables()
                     expected[ds, w] = extremal_check_t_eq_k(f, ds, w)
-            distance_module._exponent_table.cache_clear()
+            clear_tables()
             for ds, w in sets:
                 extremal_check_t_eq_k(f, ds, w)
             for ds, own in sets:
@@ -659,6 +661,7 @@ class TestVerdictTable:
         two_three = make_divisor_set(30, [2, 3])
         all_touched = make_divisor_set(450, [25, 9, 2])
         foreign = SeparationWitness(((45, 7),) + w.assignment[1:])
+        empty = DivisorSet(30, ())
         cases = [
             # |D| != k at t = k, and |D| >= k below it.
             (f540, pair, w, lambda: extremal_check_t_eq_k(f540, pair, w)),
@@ -667,6 +670,9 @@ class TestVerdictTable:
             (f30, two_three, None, lambda: extremal_check_t_lt_k(f30, two_three, w)),
             # Every prime of 450 divides one of 25, 9 and 2.
             (f450, all_touched, None, lambda: check_untouched_prime(f450, all_touched)),
+            # The empty set, whose key would be 0.
+            (f30, empty, None, lambda: extremal_check_t_lt_k(f30, empty, SeparationWitness(()))),
+            (f30, empty, None, lambda: check_untouched_prime(f30, empty)),
             # A witness naming 7, which does not divide 540.
             (f540, ds, None, lambda: extremal_check_t_eq_k(f540, ds, foreign)),
         ]
@@ -675,16 +681,16 @@ class TestVerdictTable:
             for _ in range(2):
                 with pytest.raises(DomainError):
                     call()
-            assert not classes.verdicts
+            assert not classes.verdicts and not classes.untouched
             mask = sum(1 << classes.index[d] for d in refused.divisors)
             classes.verdicts[mask] = ExtremalVerdict(True, "stored")
-            classes.verdicts[-mask] = (True, True, True)
+            classes.untouched[mask] = (True, True, True)
             if witness is not None:
                 pairs = itertools.chain(refused.divisors, *witness.assignment)
                 classes.verdicts[tuple(classes.index[x] for x in pairs)] = ExtremalVerdict(True)
             with pytest.raises(DomainError):
                 call()
-            distance_module._exponent_table.cache_clear()
+            clear_tables()
 
     def test_worst_vertex_reads_the_stored_verdict(self, monkeypatch):
         # The closed-form layer checks a t = k set and then asks for its

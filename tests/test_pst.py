@@ -9,7 +9,7 @@ from icg.canonical import divisor_subsets, separation_witness
 from icg.core import DivisorSet, make_divisor_set
 from icg.errors import DomainError, ResourceLimitError
 from icg.numtheory import factorize, proper_divisors
-from icg.pst import enumerate_pst_sets, pst_admissible, pst_never_maximal
+from icg.pst import PstDecomposition, enumerate_pst_sets, pst_admissible, pst_never_maximal
 
 
 def reference_admissible(n, divisors):
@@ -35,17 +35,36 @@ def reference_admissible(n, divisors):
 
 
 def filter_pst_sets(f, max_size=None):
-    """``pst_admissible`` over every subset of at most max_size proper
-    divisors, by size and then lexicographically: the reference for
-    ``enumerate_pst_sets``."""
-    if f.n % 4 != 0:
+    """The characterization tested on every subset of at most max_size
+    proper divisors with plain set arithmetic, by size and then
+    lexicographically: the reference for ``enumerate_pst_sets``.
+
+    D fits when it holds a hub n/2^a, a = 1 tried first, and equals the
+    union of the hub, D3, D2, 2*D2 and 4*D2, as in ``icg.pst``.
+    """
+    n = f.n
+    if n % 4 != 0:
         return []
+    divisors = proper_divisors(n)
+    d3_pool = {d for d in divisors if (n // d) % 8 == 0}
+    d2_pool = {d for d in divisors if (n // d) % 8 == 4} - {n // 4}
     out = []
-    for combo in divisor_subsets(f.n, 1, max_size):
-        ds = DivisorSet(f.n, combo)
-        dec = pst_admissible(f, ds)
-        if dec is not None:
-            out.append((ds, dec))
+    for combo in divisor_subsets(n, 1, max_size):
+        dset = set(combo)
+        for a in (1, 2):
+            if n >> a in dset:
+                break
+        else:
+            continue
+        d2 = dset & d2_pool
+        union = dset & d3_pool | d2 | {n >> a}
+        for d in d2:
+            union |= {2 * d, 4 * d}
+        if union == dset:
+            d3 = tuple(d for d in combo if d in d3_pool)
+            d2 = tuple(sorted(d2))
+            two, four = tuple(2 * d for d in d2), tuple(4 * d for d in d2)
+            out.append((DivisorSet(n, combo), PstDecomposition(d3, d2, two, four, n >> a, a)))
     return out
 
 

@@ -26,6 +26,8 @@ from icg.verify import (
     verify_range,
 )
 
+from tables import clear_tables
+
 # The package re-exports the function ``distance`` under the module's name.
 distance_module = importlib.import_module("icg.distance")
 
@@ -234,12 +236,12 @@ class TestClassBatch:
 
         monkeypatch.setattr(DivisorClasses, "row", count_rows)
         for n in (16, 210, 2310):
-            distance_module._exponent_table.cache_clear()
+            clear_tables()
             fetched.clear()
             verify_order(n)
             f = factorize(n)
             assert fetched == ([0] if f.k == 1 else list(range(len(DivisorClasses(f).divisors) - 1))), n
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
 
     def test_unreached_class_raises(self, monkeypatch):
         # A step row that takes no class anywhere leaves {1}, class index
@@ -248,10 +250,10 @@ class TestClassBatch:
         monkeypatch.setattr(
             DivisorClasses, "row", lambda self, i: (0,) * len(self.divisors) if i == 0 else row(self, i)
         )
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         with pytest.raises(RuntimeError, match=r"^n=30: connected set \(1,\) left classes unreached$"):
             verify_order(30)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
 
 
 class TestSignatureMaxima:
@@ -261,12 +263,12 @@ class TestSignatureMaxima:
     def test_orders_of_a_signature_share_maxima(self):
         maxima = {}
         for n in range(2, 1001):
-            distance_module._exponent_table.cache_clear()  # verify every order cold
+            clear_tables()  # verify every order cold
             observed = tuple(r.observed_max for r in verify_order(n) if r.t is not None)
             exponents = dict(factorize(n).factors)
             signature = exponents.pop(2, 0), tuple(sorted(exponents.values()))
             maxima.setdefault(signature, set()).add(observed)
-            rows = DivisorClasses(factorize(n)).witnesses.values()
+            rows = DivisorClasses(factorize(n)).records.values()
             assert [tuple(o for t, _, o, _, _ in row if t is not None) for row in rows] == [observed], n
         assert len(maxima) == 67
         assert {sig: found for sig, found in maxima.items() if len(found) > 1} == {}
@@ -274,7 +276,7 @@ class TestSignatureMaxima:
     def test_descending_orders_match_pinned_sweep(self):
         # Each signature's maxima now come from its largest order up to
         # 1000 instead of its smallest.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         chunks = {n: verify_order(n) for n in range(1000, 1, -1)}
         report = RangeReport(2, 1000, tuple(r for n in range(2, 1001) for r in chunks[n]))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == SWEEP_1000_SHA256
@@ -285,7 +287,7 @@ class TestShapeTable:
     table first."""
 
     def test_shuffled_cold_sweep_matches_pin(self):
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         orders = list(range(2, 1001))
         random.Random(1000).shuffle(orders)
         chunks = {n: verify_order(n) for n in orders}
@@ -302,9 +304,9 @@ class TestWitnessRows:
 
     def test_orders_of_one_row_skip_the_search(self, monkeypatch):
         # 77 = 7 * 11 and 91 = 7 * 13 list their classes in one order.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         cold = verify_order(91)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         verify_order(77)
 
         def refuse(*args):
@@ -313,19 +315,18 @@ class TestWitnessRows:
         monkeypatch.setattr(icg.verify, "_maxima", refuse)
         monkeypatch.setattr(icg.verify, "_record_row", refuse)
         monkeypatch.setattr(icg.verify, "prediction_row", refuse)
-        monkeypatch.setattr(DivisorClasses, "step", refuse)
         monkeypatch.setattr(DivisorClasses, "row", refuse)
         assert verify_order(91) == cold
-        assert len(DivisorClasses(factorize(91)).witnesses) == 1
+        assert len(DivisorClasses(factorize(91)).records) == 1
 
     def test_divisor_orders_of_a_signature_get_their_own_rows(self):
         # 45 = 3^2 * 5 lists 5 before 9 = 3^2; 75 = 3 * 5^2 lists 3 before
         # 25 = 5^2, so their classes come in different orders.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         verify_order(45)
         verify_order(75)
-        rows = DivisorClasses(factorize(45)).witnesses
-        assert DivisorClasses(factorize(75)).witnesses is rows
+        rows = DivisorClasses(factorize(45)).records
+        assert DivisorClasses(factorize(75)).records is rows
         assert sorted(rows) == [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
         maxima = {tuple(observed for _, _, observed, _, _ in row) for row in rows.values()}
         assert len(maxima) == 1
@@ -333,12 +334,12 @@ class TestWitnessRows:
     def test_search_returns_the_stored_row(self):
         # 90 = 2 * 3^2 * 5 lists its classes as 1, 2, 5, 10, 3, 6, ..., not
         # in value order, so a row of divisors differs from one of indices.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         records = verify_order(90)
         f = factorize(90)
         classes = DivisorClasses(f)
         assert classes.divisors[:6] == (1, 2, 5, 10, 3, 6)
-        ((order, row),) = classes.witnesses.items()
+        ((order, row),) = classes.records.items()
         assert order == classes.divisor_order
         assert icg.verify._record_row(classes, f) == row
         witnesses = [tuple(classes.divisors[i] for i in w) for _, _, _, w, _ in row]
@@ -347,14 +348,14 @@ class TestWitnessRows:
     def test_guard_refuses_before_the_lookup(self):
         # 4620 is the first order the subset guard refuses: a row stored
         # under its divisor order must not let it through.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         classes = DivisorClasses(factorize(4620))
         order = tuple(classes.index[d] for d in sorted(classes.divisors)[:-1])
         predicted = prediction_row(classes.signature).overall
-        classes.witnesses[order] = ((1, predicted, 1, (0,), Status.MATCH),) * 6
+        classes.records[order] = ((1, predicted, 1, (0,), Status.MATCH),) * 6
         with pytest.raises(ResourceLimitError):
             verify_order(4620)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
 
     def test_cold_sweep_to_3000_searches_once_per_row(self, monkeypatch):
         # 2,999 orders, 99 signatures and 339 divisor orders: one batch per
@@ -373,9 +374,9 @@ class TestWitnessRows:
 
         monkeypatch.setattr(icg.verify, "_maxima", count_batches)
         monkeypatch.setattr(icg.verify, "_record_row", count_rows)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         verify_range(2, 3000)
-        tables = {id(t): t for t in (DivisorClasses(factorize(n)).witnesses for n in range(2, 3001))}
+        tables = {id(t): t for t in (DivisorClasses(factorize(n)).records for n in range(2, 3001))}
         assert sum(map(len, tables.values())) == len(rows) == 339
         assert len(batches) == 99
 
@@ -441,7 +442,7 @@ class TestVerifyRange:
         # each one's table once: an evicted table would be rebuilt on the
         # signature's next order, and its diameters measured again.  The
         # prediction rows are keyed by the same signatures.
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         prediction_row.cache_clear()
         digest = hashlib.sha256(verify_range(2, 3000).to_json().encode()).hexdigest()
         assert digest == SWEEP_3000_SHA256
@@ -457,7 +458,7 @@ class TestVerifyRange:
             raise AssertionError(f"proper_divisors({m}) called")
 
         monkeypatch.setattr(icg.verify, "proper_divisors", refuse, raising=False)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         assert verify_range(n, n).to_json() == expected
         assert verify_range(n, n).to_json() == expected  # warm, from the witness row
 
@@ -471,7 +472,7 @@ class TestVerifyRange:
             raise AssertionError(f"proper_divisors({m}) called")
 
         monkeypatch.setattr(icg.verify, "proper_divisors", refuse, raising=False)
-        distance_module._exponent_table.cache_clear()
+        clear_tables()
         assert verify_range(lo, hi).to_json() == expected
 
     def test_csv_to_400_pinned(self):
