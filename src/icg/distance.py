@@ -30,22 +30,24 @@ each member and witness prime only through its class digits.
 
 Two cached tables hold what is shared.  The order table of n is its
 ``DivisorClasses``, built by ``divisor_classes(f)`` for the 8 most
-recent orders: the one place that lists an order's divisors and maps a
-member of n to its class (``indices``).  It builds at once only what
-``verify_order`` reads: the divisors by class index, the divisor order
-(the class indices of the proper divisors, ascending by value), the
-signature and the parts of its signature table.  Its other parts are
+recent orders: the one place that lists an order's divisors, maps a
+member of n to its class (``indices``) and refuses a hand-built divisor
+set that is empty or holds n (``set_indices``).  It builds at once only
+what ``verify_order`` reads: the divisors by class index, the divisor
+order (the class indices of the proper divisors, ascending by value),
+the signature and the parts of its signature table.  Its other parts are
 cached properties, built on first read.  The signature table,
 ``_exponent_table``, kept for the 128 most recent signatures, holds the
 step ``rows`` by class index, built from cached per-prime layers on
-first use; the per-size ``maxima`` of ``verify`` with the sets reaching
-them, and its finished record rows, ``records``, keyed by divisor order;
-and the ``verdicts`` of ``extremal``, keyed by the bitmask of the set's
-class indices or, at t = k, by the class indices of the members and of
-the witness's (divisor, prime) pairs, and its ``untouched``-prime flags,
-keyed by the bitmask.  Every entry is a function of the signature and
-its key alone, so a table is exact for every order of its signature,
-also when an order table holds it after its eviction.
+first use; the per-size ``maxima`` of ``verify``, each a maximum and the
+one mask of the sets that reach it, and its finished record rows,
+``records``, keyed by divisor order; and the ``verdicts`` of
+``extremal``, keyed by the bitmask of the set's class indices or, at
+t = k, by the class indices of the members and of the witness's
+(divisor, prime) pairs, and its ``untouched``-prime flags, keyed by the
+bitmask.  Every entry is a function of the signature and its key alone,
+so a table is exact for every order of its signature, also when an
+order table holds it after its eviction.
 
 Witness paths are built in class space too.  A step back from vertex cur
 goes to the smallest u one level closer to 0 with gcd(cur - u, n) in D.
@@ -120,10 +122,11 @@ class DivisorClasses:
 
     ``divisors``, ``divisor_order`` and ``signature`` are built with the
     table, which also takes the parts of n's signature table once: the step
-    ``rows``, the ``maxima`` and ``records`` of ``verify`` (a finished
-    record row per divisor order) and the ``verdicts`` and ``untouched``
-    flags of ``extremal``.  ``verify_order`` reads only ``records`` and the
-    first three.  ``index``, the one map keyed by divisor, ``proper_divisors``
+    ``rows``, the ``maxima`` of ``verify`` (per size, a maximum and one mask
+    of the sets that reach it) and its ``records`` (a finished record row
+    per divisor order) and the ``verdicts`` and ``untouched`` flags of
+    ``extremal``.  ``verify_order`` reads only ``records`` and the first
+    three.  ``index``, the one map keyed by divisor, ``proper_divisors``
     and the prime-support data of ``canonical`` are built on first read.
     """
 
@@ -193,6 +196,17 @@ class DivisorClasses:
         except KeyError as exc:
             raise DomainError(f"{exc.args[0]} does not divide n={self.divisors[-1]}") from None
 
+    def set_indices(self, members) -> tuple[int, ...]:
+        """The class indices of a divisor set's members; DomainError for a
+        hand-built set that ``make_divisor_set`` refuses: an empty one, or
+        one holding n, the class of vertex 0, or a non-divisor."""
+        n = self.divisors[-1]
+        if not members:
+            raise DomainError("divisor set must be nonempty")
+        if n in members:
+            raise DomainError(f"{n} is not a proper divisor of {n}")
+        return self.indices(members)
+
     def row(self, i: int) -> tuple[int, ...]:
         """For each class index, the mask of classes that adding a symbol
         of class index i to a vertex of that class can reach.
@@ -229,9 +243,9 @@ def divisor_classes(f: Factorization) -> DivisorClasses:
 # of that range evicts no table before it comes back to its signature.
 @lru_cache(maxsize=128)
 def _exponent_table(signature: Signature) -> tuple[dict, list, dict, dict, dict]:
-    """The signature table: step rows, the per-size maxima and record
-    rows of ``verify``, and the verdicts and untouched-prime flags of
-    ``extremal``."""
+    """The signature table: step rows, the per-size maxima of ``verify``
+    (a maximum and one mask of the sets reaching it) and its record rows,
+    and the verdicts and untouched-prime flags of ``extremal``."""
     return {}, [], {}, {}, {}
 
 
@@ -306,8 +320,9 @@ def _class_distances(g: IcgInstance) -> Mapping[int, int | None]:
     ``distance`` calls on one graph run one BFS; the mapping is read-only
     because every caller shares it."""
     classes = divisor_classes(g.factorization)
+    rows = list(map(classes.row, classes.set_indices(g.divisor_set.divisors)))
     dist: dict[int, int | None] = dict.fromkeys(classes.divisors)
-    for d, m in enumerate(levels_from_zero(classes.reach(g.divisor_set.divisors))):
+    for d, m in enumerate(levels_from_zero(or_rows(rows[0], rows[1:]))):
         for i in _bits(m):
             dist[classes.divisors[i]] = d
     return MappingProxyType(dist)
@@ -357,8 +372,7 @@ def diameter(g: IcgInstance) -> DiameterResult:
     """
     classes = divisor_classes(g.factorization)
     members = g.divisor_set.divisors
-    steps = list(zip(members, map(classes.row, classes.indices(members))))
-    # A divisor set is not empty.
+    steps = list(zip(members, map(classes.row, classes.set_indices(members))))
     levels = levels_from_zero(or_rows(steps[0][1], (step for _, step in steps[1:])))
     if not is_connected(g.divisor_set):
         reached = sum(levels)

@@ -28,7 +28,8 @@ prime) pairs; its untouched map keys ``check_untouched_prime`` by the
 bitmask.  The predicates fill the maps on a miss and every order of the
 signature reads them.  Each check validates its input, a member or
 witness prime that does not divide n through the order table's
-``indices``, and raises its DomainError before the lookup, and
+``indices`` (an empty set or one holding n, below t = k, through its
+``set_indices``), and raises its DomainError before the lookup, and
 ``check_untouched_prime`` keeps only its three attainment flags in its
 map: the split n = m * n' is computed for every call.
 """
@@ -232,9 +233,7 @@ def _condition_ii_holds(f: Factorization, ds: DivisorSet, w: SeparationWitness) 
 
 def _set_key(classes: DivisorClasses, divisors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The set's verdict key, the bitmask of its class indices, and its members' masks."""
-    if not divisors:
-        raise DomainError("divisor set must be nonempty")
-    indices = classes.indices(divisors)
+    indices = classes.set_indices(divisors)
     return sum(map((1).__lshift__, indices)), tuple(map(classes.masks.__getitem__, indices))
 
 

@@ -18,7 +18,8 @@ keeps the sets that have not reached the class and those that reached it
 last level; a level ORs the latter sets that hold a class i into each
 class that the step row of i takes the class to.  A set's diameter is the
 level at which it has reached every class, and a connected set that
-leaves a class unreached raises ``RuntimeError``.
+leaves a class unreached raises ``RuntimeError``.  The signature table
+keeps each size's maximum and the one mask of the sets that reach it.
 
 The witness of a size, the first set by size then lexicographically in
 value order to reach its maximum, is a function of the signature and of
@@ -45,7 +46,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .canonical import subset_sizes
-from .distance import DivisorClasses, _bits, divisor_classes
+from .distance import DivisorClasses, divisor_classes
 from .errors import ValidationError
 from .extremal import MaxDiameterPrediction, prediction_row
 from .numtheory import Factorization, factorize
@@ -105,16 +106,17 @@ def _record_row(classes: DivisorClasses, f: Factorization) -> tuple:
     classes, the row the signature table stores: (t, predicted, observed,
     witness, status) for t = 1..k, then the overall entry with t None,
     each witness as class indices ascending by value.  A size's witness is
-    read off its maxima in one pass over the classes in value order: each
+    read off its mask in one pass over the classes in value order: each
     class that a set still in the running holds, keeping those sets."""
     maxima = classes.maxima
     if not maxima:
         maxima += _maxima(classes, f)
+    member = _members(len(classes.divisor_order), f.k)
     best = []
-    for top, holders in maxima:
-        running, witness = -1, []
+    for top, sets in maxima:
+        running, witness = sets, []
         for c in classes.divisor_order:
-            held = running & holders[c]
+            held = running & member[c]
             if held:
                 running = held
                 witness.append(c)
@@ -133,10 +135,10 @@ def _record_row(classes: DivisorClasses, f: Factorization) -> tuple:
 
 
 def _maxima(classes: DivisorClasses, f: Factorization) -> list:
-    """For each size t = 1..k, the maximal diameter of a connected set of t
-    proper divisors and, for each proper class, the mask of the sets that
-    reach it and hold the class: bit j for the j-th such set, ascending.
-    One class BFS runs over all the sets at once."""
+    """For each size t = 1..k, (top, sets): the maximal diameter of a
+    connected set of t proper divisors, and the mask of the connected t-sets
+    that reach it, in the subset bits of ``_members``.  One class BFS runs
+    over all the sets at once."""
     k = f.k
     m = len(classes.divisor_order)  # class m is n, that is vertex 0
     member = _members(m, k)
@@ -192,14 +194,11 @@ def _maxima(classes: DivisorClasses, f: Factorization) -> list:
         s = (pending & -pending).bit_length() - 1
         node = tuple(d for d, held in zip(classes.divisors, member) if held >> s & 1)
         raise RuntimeError(f"n={f.n}: connected set {node} left classes unreached")
-    maxima = []
-    for top, sets in best:
-        bit = {s: 1 << j for j, s in enumerate(_bits(sets))}
-        maxima.append((top, tuple(sum(map(bit.get, _bits(held & sets))) for held in member)))
-    return maxima
+    return best
 
 
-@lru_cache(maxsize=4)  # tau(n) = 180 at k = 3 takes about 16 MB
+# Read by _maxima and _record_row; tau(n) = 180 at k = 3 takes about 16 MB.
+@lru_cache(maxsize=4)
 def _members(m: int, k: int) -> tuple[int, ...]:
     """For each c < m, the mask of the subsets of range(m) with 1..k members
     that hold c, bit s for the s-th subset by size then lexicographically.

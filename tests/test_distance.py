@@ -557,6 +557,20 @@ class TestOrderTable:
                 call(factorize(n))
             distance_module.divisor_classes.cache_clear()
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [((), "divisor set must be nonempty"), ((1, 12), "12 is not a proper divisor of 12")],
+        ids=["empty", "holds_n"],
+    )
+    def test_distance_layer_refuses_an_invalid_set(self, members, message):
+        # make_divisor_set refuses both sets; a hand-built one reaches the
+        # BFS only through diameter or _class_distances, and each refuses it
+        # (diameter raised IndexError on the empty set and answered 3 with n).
+        g = IcgInstance(factorize(12), DivisorSet(12, members))
+        for call in (diameter, bfs_profile, lambda g: distance(g, 0, 1)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(g)
+
     @pytest.mark.parametrize("n", [2, 12, 1260, 2310, 1099511627689])
     def test_no_divisors_by_trial_division(self, monkeypatch, n):
         # divisor_subsets, enumerate_pst_sets and diameter_two_cases read

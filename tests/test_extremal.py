@@ -662,6 +662,7 @@ class TestVerdictTable:
         all_touched = make_divisor_set(450, [25, 9, 2])
         foreign = SeparationWitness(((45, 7),) + w.assignment[1:])
         empty = DivisorSet(30, ())
+        with_n = DivisorSet(30, (1, 30))
         cases = [
             # |D| != k at t = k, and |D| >= k below it.
             (f540, pair, w, lambda: extremal_check_t_eq_k(f540, pair, w)),
@@ -673,6 +674,8 @@ class TestVerdictTable:
             # The empty set, whose key would be 0.
             (f30, empty, None, lambda: extremal_check_t_lt_k(f30, empty, SeparationWitness(()))),
             (f30, empty, None, lambda: check_untouched_prime(f30, empty)),
+            # n itself, the class of vertex 0.
+            (f30, with_n, None, lambda: extremal_check_t_lt_k(f30, with_n, None)),
             # A witness naming 7, which does not divide 540.
             (f540, ds, None, lambda: extremal_check_t_eq_k(f540, ds, foreign)),
         ]

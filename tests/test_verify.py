@@ -6,16 +6,14 @@ import importlib
 import json
 import math
 import random
-from functools import reduce
 from itertools import combinations
-from operator import or_
 
 import pytest
 
 import icg.verify
 from icg.canonical import divisor_subsets
 from icg.core import make_instance
-from icg.distance import DivisorClasses, class_diameter, diameter
+from icg.distance import DivisorClasses, _bits, class_diameter, diameter
 from icg.errors import ResourceLimitError, ValidationError
 from icg.extremal import predict_max_for_t, predict_overall_max, prediction_row
 from icg.numtheory import factorize, proper_divisors, s_of
@@ -82,11 +80,11 @@ def flat_records(n):
     ]
 
 
-def batch_sets(holders):
+def batch_sets(sets, member):
     """The class sets, ascending, that reach a size's maximum, from the
-    masks of the sets holding each class that the signature table keeps."""
-    count = reduce(or_, holders).bit_length()
-    return [tuple(c for c, held in enumerate(holders) if held >> j & 1) for j in range(count)]
+    mask of those sets that the signature table keeps, decoded through the
+    member masks of ``_members``."""
+    return [tuple(c for c, held in enumerate(member) if held >> s & 1) for s in _bits(sets)]
 
 
 def record_rows(records):
@@ -221,7 +219,8 @@ class TestClassBatch:
                         diameters[s] = class_diameter(classes.reach(divisors))
                 top = max(diameters.values())
                 expected.append((top, sorted(s for s, d in diameters.items() if d == top)))
-            found = [(top, batch_sets(holders)) for top, holders in icg.verify._maxima(classes, f)]
+            member = icg.verify._members(m, f.k)
+            found = [(top, batch_sets(sets, member)) for top, sets in icg.verify._maxima(classes, f)]
             assert found == expected, n
 
     def test_batch_fetches_each_step_row_once(self, monkeypatch):
@@ -330,6 +329,23 @@ class TestWitnessRows:
         assert sorted(rows) == [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
         maxima = {tuple(observed for _, _, observed, _, _ in row) for row in rows.values()}
         assert len(maxima) == 1
+
+    def test_rows_survive_a_cleared_member_cache(self):
+        # 45 and 75 share a signature, so 75's row is read off the maxima
+        # that 45 stored, here through member masks built anew.
+        cold = {}
+        for n in (45, 75):
+            clear_tables()
+            classes = DivisorClasses(factorize(n))
+            verify_order(n)
+            cold[classes.divisor_order] = classes.records[classes.divisor_order]
+        clear_tables()
+        verify_order(45)
+        icg.verify._members.cache_clear()
+        verify_order(75)
+        assert icg.verify._members.cache_info().misses == 1
+        assert DivisorClasses(factorize(75)).records == cold
+        clear_tables()
 
     def test_search_returns_the_stored_row(self):
         # 90 = 2 * 3^2 * 5 lists its classes as 1, 2, 5, 10, 3, 6, ..., not
